@@ -10,9 +10,10 @@ components have standard-monomial bases and all counting is exact.
 """
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate
 
 from . import lattice
 from .errors import (
@@ -284,36 +285,34 @@ def _zero_weight_bounds(quotient, zero_idx):
     return bounds
 
 
-def _standard_monomials_by_order(quotient, monoid, n):
-    """Standard monomials of the quotient with at most n factors from
-    nonzero-weight variables, as (exponents, weight) pairs."""
+def _pairing(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _standard_monomials(quotient, monoid, budget, kempf=None):
+    """Weight and cost of every standard monomial of cost at most budget.
+
+    Each nonzero-weight variable costs 1, so the cost is the J-order, or its
+    Kempf degree when a Kempf vector is given.  Zero-weight variables cost
+    nothing and stay below their pure-power bounds.
+    """
     zero_idx, pos_idx = _split_variables(quotient, monoid)
     bounds = _zero_weight_bounds(quotient, zero_idx)
-    nvars = len(quotient.weighting.variables)
-
-    def assignments(idx, budget):
-        if not idx:
-            yield {}
-            return
-        head, tail = idx[0], idx[1:]
-        for e in range(budget + 1):
-            for rest in assignments(tail, budget - e):
-                rest[head] = e
-                yield rest
-
-    out = []
-    zero_ranges = [range(bounds[i]) for i in zero_idx]
-    for pos_assign in assignments(pos_idx, n):
-        for zero_exps in product(*zero_ranges):
-            exps = [0] * nvars
-            for i, e in pos_assign.items():
-                exps[i] = e
-            for i, e in zip(zero_idx, zero_exps):
-                exps[i] = e
-            exps = tuple(exps)
-            if quotient.is_standard(exps):
-                out.append((exps, weight_of(exps, quotient.weighting)))
-    return out
+    w = quotient.weighting
+    costs = {
+        i: 1 if kempf is None else _pairing(kempf, w.variables[i][1]) for i in pos_idx
+    }
+    level = [((0,) * len(w.variables), 0)] if budget >= 0 else []
+    for i in pos_idx + zero_idx:
+        c = costs.get(i, 0)
+        level = [
+            (exps[:i] + (e,) + exps[i + 1:], cost + e * c)
+            for exps, cost in level
+            for e in range(bounds[i] if i in bounds else (budget - cost) // c + 1)
+        ]
+    for exps, cost in level:
+        if quotient.is_standard(exps):
+            yield weight_of(exps, w), cost
 
 
 def truncate(quotient, monoid, n):
@@ -328,10 +327,7 @@ def truncate(quotient, monoid, n):
         )
     if n < 0:
         raise ValueError("truncation level must be nonnegative")
-    dims = {}
-    for _, w in _standard_monomials_by_order(quotient, monoid, n):
-        dims[w] = dims.get(w, 0) + 1
-    return dims
+    return dict(Counter(w for w, _ in _standard_monomials(quotient, monoid, n)))
 
 
 def graded_dimension(quotient, monoid, weight):
@@ -340,43 +336,12 @@ def graded_dimension(quotient, monoid, weight):
     Finite because every nonzero-weight variable has positive pairing with
     the Kempf vector, bounding exponents by the Kempf degree of the weight.
     """
-    kempf = lattice.kempf_vector(monoid).w
-    zero_idx, pos_idx = _split_variables(quotient, monoid)
-    bounds = _zero_weight_bounds(quotient, zero_idx)
-    w = quotient.weighting
-    degree = sum(a * b for a, b in zip(kempf, weight))
-    if degree < 0:
-        return 0
-    var_degrees = {
-        i: sum(a * b for a, b in zip(kempf, w.variables[i][1])) for i in pos_idx
-    }
-    nvars = len(w.variables)
+    return _graded_dimension(quotient, monoid, lattice.kempf_vector(monoid).w, weight)
 
-    def assignments(idx, budget):
-        if not idx:
-            if budget == 0:
-                yield {}
-            return
-        head, tail = idx[0], idx[1:]
-        d = var_degrees[head]
-        for e in range(budget // d + 1):
-            for rest in assignments(tail, budget - e * d):
-                rest[head] = e
-                yield rest
 
-    count = 0
-    zero_ranges = [range(bounds[i]) for i in zero_idx]
-    for pos_assign in assignments(pos_idx, degree):
-        for zero_exps in product(*zero_ranges):
-            exps = [0] * nvars
-            for i, e in pos_assign.items():
-                exps[i] = e
-            for i, e in zip(zero_idx, zero_exps):
-                exps[i] = e
-            exps = tuple(exps)
-            if weight_of(exps, w) == weight and quotient.is_standard(exps):
-                count += 1
-    return count
+def _graded_dimension(quotient, monoid, kempf, weight):
+    monomials = _standard_monomials(quotient, monoid, _pairing(kempf, weight), kempf)
+    return sum(1 for w, _ in monomials if w == weight)
 
 
 def stabilization_check(quotient, monoid, weight, n_max):
@@ -391,11 +356,12 @@ def stabilization_check(quotient, monoid, weight, n_max):
         raise RankMismatch(
             f"weight has length {len(weight)}, monoid has rank {monoid.rank}"
         )
-    n_lambda = sum(a * b for a, b in zip(kempf, weight))
-    n_lambda = max(n_lambda, 0)
-    dims = tuple(
-        truncate(quotient, monoid, n).get(weight, 0) for n in range(n_max + 1)
-    )
+    n_lambda = max(_pairing(kempf, weight), 0)
+    by_order = [0] * (n_max + 1)
+    for w, order in _standard_monomials(quotient, monoid, n_max):
+        if w == weight:
+            by_order[order] += 1
+    dims = tuple(accumulate(by_order))
     tail = dims[min(n_lambda, n_max):]
     stable = all(d == tail[0] for d in tail) if tail else True
     return StabilizationReport(
@@ -403,7 +369,7 @@ def stabilization_check(quotient, monoid, weight, n_max):
         n_lambda=n_lambda,
         dimensions=dims,
         stable=stable,
-        limit_dimension=graded_dimension(quotient, monoid, weight),
+        limit_dimension=_graded_dimension(quotient, monoid, kempf, weight),
     )
 
 
@@ -413,16 +379,14 @@ def algebraize_check(quotient, monoid, weight_bound):
     kempf = lattice.kempf_vector(monoid).w
     if weight_bound < 0:
         raise ValueError("weight bound must be nonnegative")
-    # every weight of Kempf degree <= bound is realized by monomials of
-    # J-order <= bound, so one truncation pass collects all candidates
-    seen = set()
-    for _, w in _standard_monomials_by_order(quotient, monoid, weight_bound):
-        seen.add(w)
-    for w in sorted(seen):
-        degree = sum(a * b for a, b in zip(kempf, w))
-        if degree > weight_bound:
-            continue
-        truncated = truncate(quotient, monoid, degree).get(w, 0)
-        if truncated != graded_dimension(quotient, monoid, w):
-            return False
-    return True
+    # a monomial's J-order is at most its Kempf degree, so the truncation at
+    # level weight_bound realizes every weight of Kempf degree <= weight_bound
+    truncated = {}
+    for w, order in _standard_monomials(quotient, monoid, weight_bound):
+        degree = _pairing(kempf, w)
+        if degree <= weight_bound:
+            truncated[w] = truncated.get(w, 0) + int(order <= degree)
+    full = Counter(
+        w for w, _ in _standard_monomials(quotient, monoid, weight_bound, kempf)
+    )
+    return all(full[w] == count for w, count in truncated.items())

@@ -12,10 +12,13 @@ outputs.  Exit codes: 0 success, 1 domain error, 2 usage error.
 
 import argparse
 import json
+import re
 import sys
 
 from . import algebra, hilb, lattice, polyparse
 from .errors import DomainError
+
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 def _s(x):
@@ -26,20 +29,38 @@ def _vec(v):
     return [_s(x) for x in v]
 
 
+def _parse_int(raw):
+    """A JSON integer (not a boolean) or a decimal-integer string."""
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    if isinstance(raw, str) and _DECIMAL.fullmatch(raw):
+        return int(raw)
+    raise ValueError(f"expected an integer or a decimal-integer string, got {raw!r}")
+
+
 def _parse_int_vector(raw):
-    return tuple(int(x) for x in raw)
+    if not isinstance(raw, list):
+        raise ValueError(f"expected a list of integers, got {raw!r}")
+    return tuple(_parse_int(x) for x in raw)
+
+
+def _load_json(path):
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def load_monoid(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    rank = int(doc["rank"])
+    doc = _load_json(path)
+    rank = _parse_int(doc["rank"])
     gens = [_parse_int_vector(g) for g in doc["generators"]]
     return lattice.cone_from_generators(gens, rank)
 
 
 def load_weighting(doc):
-    rank = int(doc["torus_rank"])
+    rank = _parse_int(doc["torus_rank"])
     variables = tuple(
         (var["name"], _parse_int_vector(var["weight"])) for var in doc["variables"]
     )
@@ -47,8 +68,7 @@ def load_weighting(doc):
 
 
 def load_presentation(path):
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _load_json(path)
     weighting = load_weighting(doc)
     names = weighting.names
     relations = tuple(
@@ -58,8 +78,7 @@ def load_presentation(path):
 
 
 def load_quotient(path):
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _load_json(path)
     weighting = load_weighting(doc)
     names = weighting.names
     gens = []

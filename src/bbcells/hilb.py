@@ -12,8 +12,8 @@ character {(1,0), (0,1)}.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
+from . import intlinalg
 from .errors import NonGenericWeight
 
 
@@ -100,20 +100,22 @@ def tangent_character_linalg(ideal):
     constrained by the syzygy between each consecutive pair.  In a fixed
     bidegree each generator image lands in a space of dimension 0 or 1
     (spanned by a standard monomial), so the solution space is the kernel of
-    a small rational matrix.
+    a small integer matrix.  Only shifts taking some generator onto a box
+    of the diagram can carry a homomorphism.
     """
     partition = ideal.partition
     gens = ideal.minimal_generators
-    d = sum(partition)
-    width = partition[0] if partition else 0
-    height = len(partition)
+    shifts = {
+        (a - ga, b - gb)
+        for a, b in standard_exponents(partition)
+        for ga, gb in gens
+    }
     entries = {}
-    for d1 in range(-(d + width), d + width + 1):
-        for d2 in range(-(d + height), d + height + 1):
-            mult = _hom_dimension(partition, gens, (d1, d2))
-            if mult:
-                # sign convention: the single box must yield {(1,0),(0,1)}
-                entries[(-d1, -d2)] = mult
+    for d1, d2 in sorted(shifts):
+        mult = _hom_dimension(partition, gens, (d1, d2))
+        if mult:
+            # sign convention: the single box must yield {(1,0),(0,1)}
+            entries[(-d1, -d2)] = mult
     return entries
 
 
@@ -132,36 +134,16 @@ def _hom_dimension(partition, gens, delta):
     for t in range(len(gens) - 1):
         (a1, b1), (a2, b2) = gens[t], gens[t + 1]
         lcm = (a2, b1)  # a's increase, b's decrease along the staircase
-        lhs = _is_standard(partition, lcm[0] + d1, lcm[1] + d2)
-        coeff_l = Fraction(1) if (t in index and lhs) else Fraction(0)
-        coeff_r = Fraction(1) if (t + 1 in index and lhs) else Fraction(0)
-        row = [Fraction(0)] * len(live)
+        if not _is_standard(partition, lcm[0] + d1, lcm[1] + d2):
+            continue
+        row = [0] * len(live)
         if t in index:
-            row[index[t]] = coeff_l
+            row[index[t]] = 1
         if t + 1 in index:
-            row[index[t + 1]] -= coeff_r
+            row[index[t + 1]] = -1
         if any(row):
             rows.append(row)
-    return len(live) - _rank(rows)
-
-
-def _rank(rows):
-    rows = [list(r) for r in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pivot = rows[rank][col]
-        rows[rank] = [x / pivot for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+    return len(live) - intlinalg.rank_of(rows)
 
 
 def is_generic(ideal, w):
@@ -174,21 +156,20 @@ def is_generic(ideal, w):
 def cell_dimension(ideal, w):
     """Dimension of the cell at this fixed point for the one-parameter flow w:
     the tangent weights pairing nonnegatively with w, counted with multiplicity."""
-    return sum(
-        mult
-        for (t1, t2), mult in tangent_character_armleg(ideal).items()
-        if w[0] * t1 + w[1] * t2 >= 0
-    )
+    return _nonnegative_part(tangent_character_armleg(ideal), (w,))
 
 
 def intersection_dimension(ideal, w1, w2):
     """Dimension of the intersection of the two cells at this fixed point:
     tangent weights pairing nonnegatively with both flows."""
-    return sum(
-        mult
-        for (t1, t2), mult in tangent_character_armleg(ideal).items()
-        if w1[0] * t1 + w1[1] * t2 >= 0 and w2[0] * t1 + w2[1] * t2 >= 0
-    )
+    return _nonnegative_part(tangent_character_armleg(ideal), (w1, w2))
+
+
+def _nonnegative_part(character, weights):
+    entries = character.items()
+    for a, b in weights:
+        entries = [(t, mult) for t, mult in entries if a * t[0] + b * t[1] >= 0]
+    return sum(mult for _, mult in entries)
 
 
 def default_generic_weight(d):
@@ -204,10 +185,10 @@ def poincare_histogram(d, w):
     """
     counts = {}
     for partition in partitions(d):
-        ideal = ideal_from_partition(partition)
-        for t1, t2 in tangent_character_armleg(ideal):
+        character = tangent_character_armleg(ideal_from_partition(partition))
+        for t1, t2 in character:
             if w[0] * t1 + w[1] * t2 == 0:
                 raise NonGenericWeight(partition, w, (t1, t2))
-        dim = cell_dimension(ideal, w)
+        dim = _nonnegative_part(character, (w,))
         counts[dim] = counts.get(dim, 0) + 1
     return dict(sorted(counts.items()))

@@ -4,7 +4,6 @@ All matrices are lists of lists of Python ints (arbitrary precision).
 Row convention: a matrix with r rows and c columns maps Z^c -> Z^r.
 """
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -190,37 +189,3 @@ def smith(mat):
             continue
         t += 1
     return u, s, v
-
-
-def solve_exact(mat, rhs):
-    """Solve mat @ x = rhs over the rationals; returns None if inconsistent.
-
-    mat entries may be int or Fraction.  Returns one solution (free variables
-    set to zero) as a list of Fractions.
-    """
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    a = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(mat, rhs)]
-    pivots = []
-    pr = 0
-    for col in range(cols):
-        piv = next((i for i in range(pr, rows) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[pr], a[piv] = a[piv], a[pr]
-        a[pr] = [x / a[pr][col] for x in a[pr]]
-        for i in range(rows):
-            if i != pr and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[pr])]
-        pivots.append(col)
-        pr += 1
-        if pr == rows:
-            break
-    for i in range(pr, rows):
-        if a[i][cols] != 0:
-            return None
-    x = [Fraction(0)] * cols
-    for i, col in enumerate(pivots):
-        x[col] = a[i][cols]
-    return x

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from bbcells import algebra, lattice
-from bbcells.intlinalg import rank_of, solve_exact
+from bbcells.intlinalg import rank_of
 
 
 def random_monoid(rng, max_rank=3):
@@ -29,6 +29,40 @@ def random_pointed_monoid(rng, max_rank=3):
     if monoid.rank == 0:
         monoid = lattice.cone_from_generators([(1,)], 1)
     return monoid
+
+
+def solve_exact(mat, rhs):
+    """Solve mat @ x = rhs over the rationals; returns None if inconsistent.
+
+    mat entries may be int or Fraction.  Returns one solution (free variables
+    set to zero) as a list of Fractions.
+    """
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    a = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(mat, rhs)]
+    pivots = []
+    pr = 0
+    for col in range(cols):
+        piv = next((i for i in range(pr, rows) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[pr], a[piv] = a[piv], a[pr]
+        a[pr] = [x / a[pr][col] for x in a[pr]]
+        for i in range(rows):
+            if i != pr and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[pr])]
+        pivots.append(col)
+        pr += 1
+        if pr == rows:
+            break
+    for i in range(pr, rows):
+        if a[i][cols] != 0:
+            return None
+    x = [Fraction(0)] * cols
+    for i, col in enumerate(pivots):
+        x[col] = a[i][cols]
+    return x
 
 
 def cone_member_oracle(generators, rank, m):

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -218,6 +219,22 @@ class TestStabilization:
         assert report.stable
         assert report.limit_dimension == 2
 
+    def test_negative_level_gives_empty_sequence(self):
+        q = algebra.MonomialQuotient(weighting(("x", (1,)), ("y", (2,))), ())
+        report = algebra.stabilization_check(q, N1, (3,), -1)
+        assert report.n_lambda == 3
+        assert report.dimensions == ()
+        assert report.stable
+        assert report.limit_dimension == 2
+
+    def test_level_zero(self):
+        q = algebra.MonomialQuotient(weighting(("x", (1,)), ("y", (2,))), ())
+        assert algebra.stabilization_check(q, N1, (0,), 0).dimensions == (1,)
+        report = algebra.stabilization_check(q, N1, (3,), 0)
+        assert report.dimensions == (0,)
+        assert report.stable
+        assert report.limit_dimension == 2
+
 
 class TestAlgebraize:
     def test_free_algebra(self):
@@ -290,6 +307,91 @@ class TestRandomInvariants:
                     assert stable[0] == algebra.graded_dimension(
                         quotient, monoid, w
                     )
+
+
+def quotient_with_zero_weights(rng, monoid):
+    """Random quotient plus up to two zero-weight variables, each nilpotent
+    through a pure power, and possibly a mixed generator."""
+    base = random_monomial_quotient(rng, monoid, max_vars=3)
+    n_pos = len(base.weighting.variables)
+    n_zero = rng.randint(0, 2)
+    variables = base.weighting.variables + tuple(
+        (f"z{i}", (0,) * monoid.rank) for i in range(n_zero)
+    )
+    gens = [g + (0,) * n_zero for g in base.minimal_generators]
+    for i in range(n_zero):
+        gens.append(tuple(rng.randint(1, 3) if j == n_pos + i else 0
+                          for j in range(n_pos + n_zero)))
+    if n_zero and rng.random() < 0.5:
+        gens.append(tuple(rng.randint(0, 2) for _ in range(n_pos)) + (1,) * n_zero)
+    gens = [g for g in gens if any(g)]
+    return algebra.MonomialQuotient(
+        algebra.VariableWeighting(monoid.rank, variables), tuple(gens)
+    )
+
+
+def brute_standard_monomials(quotient, box):
+    """(weight, J-order) of every standard monomial with exponents below box,
+    by testing divisibility against each generator."""
+    weights = [w for _, w in quotient.weighting.variables]
+    out = []
+    for exps in product(range(box), repeat=len(weights)):
+        if any(all(g <= e for g, e in zip(gen, exps))
+               for gen in quotient.minimal_generators):
+            continue
+        weight = tuple(sum(e * w[t] for e, w in zip(exps, weights))
+                       for t in range(quotient.weighting.torus_rank))
+        order = sum(e for e, w in zip(exps, weights) if any(w))
+        out.append((weight, order))
+    return out
+
+
+class TestCountingOracle:
+    """truncate, graded_dimension and stabilization_check against a brute
+    force over an exponent box.  The box holds every standard monomial of
+    J-order or Kempf degree at most LEVEL: exponents of nonzero-weight
+    variables are bounded by either, and those of zero-weight variables stay
+    below their pure power, at most 3."""
+
+    LEVEL = 4
+
+    def test_random_quotients(self):
+        rng = seeded(203)
+        checked = 0
+        for _ in range(30):
+            monoid = random_pointed_monoid(rng, max_rank=2)
+            try:
+                quotient = quotient_with_zero_weights(rng, monoid)
+            except IndexError:  # no variable weight available in this monoid
+                continue
+            kempf = lattice.kempf_vector(monoid).w
+            monomials = brute_standard_monomials(quotient, max(self.LEVEL, 3) + 1)
+            for n in range(self.LEVEL + 1):
+                expected = Counter(w for w, order in monomials if order <= n)
+                assert algebra.truncate(quotient, monoid, n) == expected
+            for weight in {w for w, _ in monomials}:
+                degree = sum(a * b for a, b in zip(kempf, weight))
+                if degree > self.LEVEL:
+                    continue
+                full = sum(1 for w, _ in monomials if w == weight)
+                assert algebra.graded_dimension(quotient, monoid, weight) == full
+                assert algebra.graded_dimension(
+                    quotient, monoid, tuple(-x for x in weight)
+                ) == (full if degree == 0 else 0)
+                dims = tuple(
+                    sum(1 for w, order in monomials if w == weight and order <= n)
+                    for n in range(self.LEVEL + 1)
+                )
+                report = algebra.stabilization_check(
+                    quotient, monoid, weight, self.LEVEL
+                )
+                assert report.n_lambda == degree
+                assert report.dimensions == dims
+                assert report.stable == (len(set(dims[degree:])) == 1)
+                assert report.limit_dimension == full
+                checked += 1
+            assert algebra.algebraize_check(quotient, monoid, self.LEVEL)
+        assert checked > 50
 
 
 class TestMinimalGenerators:

@@ -149,3 +149,67 @@ class TestErrorPaths:
         rc = main(["hilb", "intersect", "-d", "2", "-w", "1,3"])
         assert rc == 1
         assert "error[" in capsys.readouterr().err
+
+
+MONOID_GOOD = {"rank": 1, "generators": [[1]]}
+FIXED_GOOD = {"torus_rank": 1, "variables": [{"name": "x", "weight": [1]}]}
+
+# (command, document) pairs that must end in error[bad-input], exit code 1
+REJECTED = {
+    "top_level_array": ("monoid", [1, 2]),
+    "top_level_number": ("monoid", 3),
+    "top_level_string": ("algebra", "x"),
+    "float_in_generator": ("monoid", {"rank": 1, "generators": [[1.9]]}),
+    "integral_float_in_generator": ("monoid", {"rank": 1, "generators": [[1.0]]}),
+    "bool_in_generator": ("monoid", {"rank": 1, "generators": [[True]]}),
+    "null_in_generator": ("monoid", {"rank": 1, "generators": [[None]]}),
+    "string_as_generator": ("monoid", {"rank": 2, "generators": ["12"]}),
+    "float_rank": ("monoid", {"rank": 1.0, "generators": [[1]]}),
+    "bool_rank": ("monoid", {"rank": True, "generators": [[1]]}),
+    "fraction_string": ("monoid", {"rank": 1, "generators": [["1.5"]]}),
+    "hex_string": ("monoid", {"rank": 1, "generators": [["0x1"]]}),
+    "plus_sign_string": ("monoid", {"rank": "+1", "generators": [[1]]}),
+    "padded_string": ("monoid", {"rank": 1, "generators": [[" 1"]]}),
+    "underscore_string": ("monoid", {"rank": 1, "generators": [["1_0"]]}),
+    "empty_string": ("monoid", {"rank": 1, "generators": [[""]]}),
+    "bool_torus_rank": ("algebra", dict(FIXED_GOOD, torus_rank=True)),
+    "float_torus_rank": ("algebra", dict(FIXED_GOOD, torus_rank=1.0)),
+    "float_in_weight": (
+        "algebra", dict(FIXED_GOOD, variables=[{"name": "x", "weight": [0.5]}])
+    ),
+    "bool_in_weight": (
+        "algebra", dict(FIXED_GOOD, variables=[{"name": "x", "weight": [False]}])
+    ),
+}
+
+
+def _run_on_document(tmp_path, group, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    if group == "monoid":
+        return main(["monoid", "analyze", "-i", str(path), "--json"])
+    return main(["algebra", "fixed", "-i", str(path), "--json"])
+
+
+class TestStrictInputs:
+    @pytest.mark.parametrize("form", sorted(REJECTED))
+    def test_rejected(self, form, tmp_path, capsys):
+        group, doc = REJECTED[form]
+        assert _run_on_document(tmp_path, group, doc) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[bad-input]: ")
+
+    def test_decimal_strings_match_integers(self, tmp_path, capsys):
+        as_strings = {"rank": "1", "generators": [["1"]]}
+        assert _run_on_document(tmp_path, "monoid", as_strings) == 0
+        from_strings = capsys.readouterr().out
+        assert _run_on_document(tmp_path, "monoid", MONOID_GOOD) == 0
+        assert capsys.readouterr().out == from_strings
+
+    def test_negative_decimal_string(self, tmp_path, capsys):
+        doc = {"rank": 1, "generators": [["-2"]]}
+        assert _run_on_document(tmp_path, "monoid", doc) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["generators"] == [["-2"]]
+        assert payload["kempf_vector"] == ["-1"]

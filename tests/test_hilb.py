@@ -8,6 +8,17 @@ def char(partition):
     return hilb.tangent_character_armleg(hilb.ideal_from_partition(partition))
 
 
+def largest_part_counts(d):
+    """counts[k] = number of partitions of d with largest part k, from the
+    recurrence on the number of partitions into parts at most k."""
+    # at_most[n][k]: partitions of n into parts <= k
+    at_most = [[1] * (d + 1)] + [[0] * (d + 1) for _ in range(d)]
+    for n in range(1, d + 1):
+        for k in range(1, d + 1):
+            at_most[n][k] = at_most[n][k - 1] + (at_most[n - k][k] if k <= n else 0)
+    return [0] + [at_most[d - k][k] for k in range(1, d + 1)]
+
+
 class TestPartitions:
     def test_single(self):
         assert hilb.partitions(1) == [(1,)]
@@ -86,8 +97,8 @@ class TestTangentCharacters:
         swapped = {(b, a): m for (a, b), m in char((2,)).items()}
         assert char((1, 1)) == swapped
 
-    def test_oracles_agree_up_to_eight(self):
-        for d in range(1, 9):
+    def test_oracles_agree_up_to_ten(self):
+        for d in range(1, 11):
             for p in hilb.partitions(d):
                 ideal = hilb.ideal_from_partition(p)
                 linalg = hilb.tangent_character_linalg(ideal)
@@ -130,6 +141,12 @@ class TestCellDimension:
                     hilb.ideal_from_partition(hilb.transpose(p)), (7, 2)
                 )
                 assert a == b
+
+    def test_closed_form_under_default_weight(self):
+        for d in range(1, 15):
+            w = hilb.default_generic_weight(d)
+            for p in hilb.partitions(d):
+                assert hilb.cell_dimension(hilb.ideal_from_partition(p), w) == d + p[0]
 
 
 class TestIntersectionDimension:
@@ -174,6 +191,17 @@ class TestPoincare:
         with pytest.raises(NonGenericWeight) as err:
             hilb.poincare_histogram(2, (1, 1))
         assert err.value.weight == (1, 1)
+
+    def test_histogram_counts_partitions_by_largest_part(self):
+        # Ellingsrud-Stromme: under (1, d+1) the cells of dimension d + k
+        # are indexed by the partitions of d with largest part k
+        for d in range(1, 19):
+            expected = {
+                d + k: count
+                for k, count in enumerate(largest_part_counts(d))
+                if count
+            }
+            assert hilb.poincare_histogram(d, hilb.default_generic_weight(d)) == expected
 
     def test_default_weight_is_generic(self):
         for d in range(1, 9):
