@@ -336,7 +336,17 @@ def graded_dimension(quotient, monoid, weight):
     Finite because every nonzero-weight variable has positive pairing with
     the Kempf vector, bounding exponents by the Kempf degree of the weight.
     """
-    return _graded_dimension(quotient, monoid, lattice.kempf_vector(monoid).w, weight)
+    kempf = lattice.kempf_vector(monoid).w
+    return _graded_dimension(quotient, monoid, kempf, _checked_weight(weight, monoid))
+
+
+def _checked_weight(weight, monoid):
+    weight = tuple(weight)
+    if len(weight) != monoid.rank:
+        raise RankMismatch(
+            f"weight has length {len(weight)}, monoid has rank {monoid.rank}"
+        )
+    return weight
 
 
 def _graded_dimension(quotient, monoid, kempf, weight):
@@ -351,11 +361,7 @@ def stabilization_check(quotient, monoid, weight, n_max):
     the bound is its Kempf degree n_lambda = <kempf vector, weight>.
     """
     kempf = lattice.kempf_vector(monoid).w
-    weight = tuple(weight)
-    if len(weight) != monoid.rank:
-        raise RankMismatch(
-            f"weight has length {len(weight)}, monoid has rank {monoid.rank}"
-        )
+    weight = _checked_weight(weight, monoid)
     n_lambda = max(_pairing(kempf, weight), 0)
     by_order = [0] * (n_max + 1)
     for w, order in _standard_monomials(quotient, monoid, n_max):

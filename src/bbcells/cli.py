@@ -38,10 +38,15 @@ def _parse_int(raw):
     raise ValueError(f"expected an integer or a decimal-integer string, got {raw!r}")
 
 
+def _parse_list(raw, what, kind=object):
+    """A JSON list whose items are all of the given type."""
+    if not isinstance(raw, list) or not all(isinstance(x, kind) for x in raw):
+        raise ValueError(f"expected a list of {what}, got {raw!r}")
+    return raw
+
+
 def _parse_int_vector(raw):
-    if not isinstance(raw, list):
-        raise ValueError(f"expected a list of integers, got {raw!r}")
-    return tuple(_parse_int(x) for x in raw)
+    return tuple(_parse_int(x) for x in _parse_list(raw, "integers"))
 
 
 def _load_json(path):
@@ -55,16 +60,18 @@ def _load_json(path):
 def load_monoid(path):
     doc = _load_json(path)
     rank = _parse_int(doc["rank"])
-    gens = [_parse_int_vector(g) for g in doc["generators"]]
+    gens = [_parse_int_vector(g) for g in _parse_list(doc["generators"], "vectors")]
     return lattice.cone_from_generators(gens, rank)
 
 
 def load_weighting(doc):
     rank = _parse_int(doc["torus_rank"])
-    variables = tuple(
-        (var["name"], _parse_int_vector(var["weight"])) for var in doc["variables"]
-    )
-    return algebra.VariableWeighting(torus_rank=rank, variables=variables)
+    variables = []
+    for var in _parse_list(doc["variables"], "variable objects", dict):
+        if not isinstance(var["name"], str):
+            raise ValueError(f"variable name must be a string, got {var['name']!r}")
+        variables.append((var["name"], _parse_int_vector(var["weight"])))
+    return algebra.VariableWeighting(torus_rank=rank, variables=tuple(variables))
 
 
 def load_presentation(path):
@@ -72,7 +79,8 @@ def load_presentation(path):
     weighting = load_weighting(doc)
     names = weighting.names
     relations = tuple(
-        polyparse.parse_polynomial(src, names) for src in doc.get("relations", [])
+        polyparse.parse_polynomial(src, names)
+        for src in _parse_list(doc.get("relations", []), "polynomial strings", str)
     )
     return algebra.GradedPresentation(weighting=weighting, relations=relations)
 
@@ -82,7 +90,7 @@ def load_quotient(path):
     weighting = load_weighting(doc)
     names = weighting.names
     gens = []
-    for src in doc.get("monomial_generators", []):
+    for src in _parse_list(doc.get("monomial_generators", []), "monomials", str):
         poly = polyparse.parse_polynomial(src, names)
         if len(poly.terms) != 1 or poly.terms[0][0] != 1:
             raise DomainError(f"not a monomial: {src!r}")

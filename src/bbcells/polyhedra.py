@@ -1,18 +1,19 @@
-"""Fourier-Motzkin elimination over exact rationals for homogeneous cones.
+"""Facet normals of rational polyhedral cones, and exact feasibility tests.
 
-A constraint is (coeffs, strict): coeffs . x >= 0, or > 0 when strict.
-Coefficients are Python ints; combinations are cleared back to primitive
-integer vectors, so no rational arithmetic ever leaks out.
+`cone_inequalities` builds facets directly from generator subsets.  The
+Fourier-Motzkin primitives are kept as the exact feasibility reference:
+a constraint is (coeffs, strict), coeffs . x >= 0, or > 0 when strict, with
+coefficients cleared back to primitive integer vectors after each step.
 """
 
-from math import gcd
+from itertools import combinations
 
+from . import intlinalg
 from .intlinalg import primitive
 
 
 def _canon(coeffs, strict):
-    c = primitive(coeffs)
-    return tuple(c), strict
+    return tuple(primitive(coeffs)), strict
 
 
 def eliminate_variable(constraints, var):
@@ -38,11 +39,7 @@ def eliminate_variable(constraints, var):
             combined = [b * x + a * y for x, y in zip(pc, nc)]
             out.add(_canon(combined, ps or ns))
     # drop tautologies 0 >= 0
-    return [
-        (c, s)
-        for c, s in sorted(out)
-        if s or any(x != 0 for x in c)
-    ]
+    return [(c, s) for c, s in sorted(out) if s or any(x != 0 for x in c)]
 
 
 def is_feasible(constraints, dim):
@@ -60,50 +57,36 @@ def is_feasible(constraints, dim):
 
 def implies(constraints, target, dim):
     """Whether every solution of `constraints` satisfies target . x >= 0."""
-    negated = [tuple(-t for t in target)]
-    system = list(constraints) + [(tuple(negated[0]), True)]
+    system = list(constraints) + [(tuple(-t for t in target), True)]
     return not is_feasible(system, dim)
+
+
+def _kernel(rows, dim):
+    return intlinalg.kernel_basis(rows) if rows else intlinalg.identity(dim)
 
 
 def cone_inequalities(generators, dim):
     """Irredundant inequality description of cone(generators) in Q^dim.
 
-    The cone {sum lambda_i g_i : lambda >= 0} is the projection of
-    {(x, lambda) : x = G lambda, lambda >= 0} onto x; the equalities are fed
-    to Fourier-Motzkin as inequality pairs.  Returns primitive integer normal
-    vectors a with a . x >= 0 on the cone; for non-full-dimensional cones the
-    list contains opposite pairs cutting out the linear span.
+    Returns primitive integer normal vectors a with a . x >= 0 on the cone:
+    first the equations of the linear span as sorted opposite pairs (an HNF
+    basis), then the sorted facet normals, each lying in that span.  A facet
+    normal is the one kernel vector of r-1 generators and the equations,
+    r the dimension of the span, taken when it is one-signed on the cone.
     """
-    k = len(generators)
-    constraints = []
-    # coordinates: x_0..x_{dim-1}, lambda_0..lambda_{k-1}
-    for i in range(dim):
-        row = [0] * (dim + k)
-        row[i] = 1
-        for j, g in enumerate(generators):
-            row[dim + j] = -g[i]
-        constraints.append((tuple(row), False))
-        constraints.append((tuple(-c for c in row), False))
-    for j in range(k):
-        row = [0] * (dim + k)
-        row[dim + j] = 1
-        constraints.append((tuple(row), False))
-    for var in range(dim, dim + k):
-        constraints = eliminate_variable(constraints, var)
-    normals = sorted({tuple(primitive(list(c[:dim]))) for c, _ in constraints
-                      if any(x != 0 for x in c[:dim])})
-    return _drop_redundant(normals, dim)
-
-
-def _drop_redundant(normals, dim):
-    kept = list(normals)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(kept)):
-            rest = [(kept[j], False) for j in range(len(kept)) if j != i]
-            if implies(rest, kept[i], dim):
-                del kept[i]
-                changed = True
-                break
-    return kept
+    gens = sorted({tuple(g) for g in generators if any(g)})
+    equations = intlinalg.row_hermite(_kernel(gens, dim))[0]
+    r = dim - len(equations)
+    normals = set()
+    for subset in combinations(gens, r - 1) if r > 0 else ():
+        kernel = _kernel(list(subset) + equations, dim)
+        if len(kernel) != 1:
+            continue
+        a = kernel[0]
+        values = [sum(x * y for x, y in zip(a, g)) for g in gens]
+        if all(v >= 0 for v in values):
+            normals.add(tuple(a))
+        elif all(v <= 0 for v in values):
+            normals.add(tuple(-x for x in a))
+    pairs = {tuple(s * x for x in e) for e in equations for s in (1, -1)}
+    return sorted(pairs) + sorted(normals)

@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
+from math import lcm
 
-from bbcells import algebra, lattice
-from bbcells.intlinalg import rank_of
+from bbcells import algebra, lattice, polyhedra
+from bbcells.intlinalg import primitive, rank_of
 
 
 def random_monoid(rng, max_rank=3):
@@ -65,25 +67,82 @@ def solve_exact(mat, rhs):
     return x
 
 
+@lru_cache(maxsize=None)
+def _cone_bases(generators, rank):
+    """Every basis of span(generators) made of generators, with the rows of a
+    nonsingular minor and that minor's inverse scaled to integers."""
+    gens = sorted({g for g in generators if any(g)})
+    span = rank_of([list(g) for g in gens])
+    bases = []
+    for basis in combinations(gens, span):
+        for rows in combinations(range(rank), span):
+            minor = [[g[i] for g in basis] for i in rows]
+            if rank_of(minor) < span:
+                continue
+            columns = [solve_exact(minor, [int(i == j) for i in range(span)])
+                       for j in range(span)]
+            scale = lcm(*(x.denominator for col in columns for x in col))
+            inverse = [[int(col[i] * scale) for col in columns] for i in range(span)]
+            bases.append((basis, rows, inverse, scale))
+            break
+    return bases
+
+
 def cone_member_oracle(generators, rank, m):
     """Membership of m in cone(generators), independent of the facet route.
 
     Caratheodory: m lies in the cone iff it is a nonnegative combination of
-    some linearly independent subset of the generators.
+    some linearly independent subset of the generators, and that subset can
+    be padded with zero coefficients to a basis of their span.
     """
-    if all(x == 0 for x in m):
-        return True
-    gens = [g for g in generators if any(x != 0 for x in g)]
-    for size in range(1, rank + 1):
-        for subset in combinations(gens, size):
-            cols = [list(g) for g in subset]
-            if rank_of(cols) < size:
-                continue
-            mat = [[cols[j][i] for j in range(size)] for i in range(rank)]
-            sol = solve_exact(mat, list(m))
-            if sol is not None and all(c >= 0 for c in sol):
-                return True
+    key = tuple(tuple(g) for g in generators)
+    for basis, rows, inverse, scale in _cone_bases(key, rank):
+        coeffs = [sum(a * m[i] for a, i in zip(row, rows)) for row in inverse]
+        if all(c >= 0 for c in coeffs) and all(
+            sum(c * g[k] for c, g in zip(coeffs, basis)) == scale * m[k]
+            for k in range(rank)
+        ):
+            return True
     return False
+
+
+def fm_cone_inequalities(generators, dim):
+    """Facet normals of cone(generators) by Fourier-Motzkin, for small cases.
+
+    The cone {sum lambda_i g_i : lambda >= 0} is the projection of
+    {(x, lambda) : x = G lambda, lambda >= 0} onto x; the equalities are fed
+    to elimination as inequality pairs, and normals implied by the others
+    are dropped one at a time.  On full-dimensional cones the primitive facet
+    normals are unique, so this must agree with polyhedra.cone_inequalities.
+    """
+    k = len(generators)
+    constraints = []
+    # coordinates: x_0..x_{dim-1}, lambda_0..lambda_{k-1}
+    for i in range(dim):
+        row = [0] * (dim + k)
+        row[i] = 1
+        for j, g in enumerate(generators):
+            row[dim + j] = -g[i]
+        constraints.append((tuple(row), False))
+        constraints.append((tuple(-c for c in row), False))
+    for j in range(k):
+        row = [0] * (dim + k)
+        row[dim + j] = 1
+        constraints.append((tuple(row), False))
+    for var in range(dim, dim + k):
+        constraints = polyhedra.eliminate_variable(constraints, var)
+    kept = sorted({tuple(primitive(list(c[:dim]))) for c, _ in constraints
+                   if any(x != 0 for x in c[:dim])})
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(kept)):
+            rest = [(kept[j], False) for j in range(len(kept)) if j != i]
+            if polyhedra.implies(rest, kept[i], dim):
+                del kept[i]
+                changed = True
+                break
+    return kept
 
 
 def random_weighting(rng, rank, n_vars, names=None, weight_pool=None):

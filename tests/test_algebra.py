@@ -10,6 +10,7 @@ from bbcells.errors import (
     InhomogeneousError,
     MonoidHasUnits,
     NotMinimalPresentation,
+    RankMismatch,
     WeightOutsideMonoid,
 )
 from conftest import (
@@ -234,6 +235,20 @@ class TestStabilization:
         assert report.dimensions == (0,)
         assert report.stable
         assert report.limit_dimension == 2
+
+
+class TestGradedDimensionWeight:
+    def test_list_weight_matches_tuple(self):
+        q = algebra.MonomialQuotient(weighting(("x", (1,)), ("y", (2,))), ())
+        assert algebra.graded_dimension(q, N1, (3,)) == 2
+        assert algebra.graded_dimension(q, N1, [3]) == 2
+
+    def test_wrong_length_weight(self):
+        q = algebra.MonomialQuotient(weighting(("x", (1,)), ("y", (2,))), ())
+        with pytest.raises(RankMismatch):
+            algebra.graded_dimension(q, N1, (3, 5))
+        with pytest.raises(RankMismatch):
+            algebra.stabilization_check(q, N1, (3, 5), 2)
 
 
 class TestAlgebraize:

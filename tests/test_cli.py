@@ -180,6 +180,13 @@ REJECTED = {
     "bool_in_weight": (
         "algebra", dict(FIXED_GOOD, variables=[{"name": "x", "weight": [False]}])
     ),
+    "number_as_generators": ("monoid", {"rank": 1, "generators": 5}),
+    "number_as_variable": ("algebra", {"torus_rank": 1, "variables": [1]}),
+    "number_as_variable_name": (
+        "algebra", dict(FIXED_GOOD, variables=[{"name": 3, "weight": [1]}])
+    ),
+    "number_as_relation": ("algebra", dict(FIXED_GOOD, relations=[5])),
+    "string_as_relations": ("algebra", dict(FIXED_GOOD, relations="x")),
 }
 
 

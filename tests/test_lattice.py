@@ -1,8 +1,13 @@
+import time
+from itertools import product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bbcells import lattice, polyhedra
 from bbcells.errors import MonoidHasUnits, RankMismatch
-from conftest import cone_member_oracle, random_monoid, seeded
+from bbcells.intlinalg import rank_of
+from conftest import cone_member_oracle, fm_cone_inequalities, random_monoid, seeded
 
 
 def mono(gens, rank):
@@ -189,3 +194,124 @@ class TestRandomInvariants:
                 # some point satisfies the others but strictly violates this one
                 witness_system = rest + [(tuple(-x for x in normal), True)]
                 assert polyhedra.is_feasible(witness_system, m.rank)
+
+
+def dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+# unpruned Fourier-Motzkin ran past 60 s (rank 3) and 2 s (rank 4) on these
+HARD_CONES = {
+    "rank3_six_generators": [
+        (2, 4, 1), (1, 3, 4), (4, 3, 3), (1, 1, 1), (4, 3, 0), (0, 1, 4)
+    ],
+    "rank4_five_generators": [
+        (1, 4, 4, 1), (2, 4, 3, 4), (0, 4, 0, 3), (2, 4, 1, 1), (3, 4, 4, 3)
+    ],
+}
+
+# lower-dimensional cones: equations of the span as opposite pairs of a
+# Hermite basis, then facet normals lying in the span
+CANONICAL = [
+    (
+        [(3, 1, 2), (3, 1, 0), (0, 0, 1)],
+        [(-1, 3, 0), (1, -3, 0), (0, 0, 1), (3, 1, 0)],
+    ),
+    (
+        [(-2, -2, -2)],
+        [(-1, 0, 1), (0, -1, 1), (0, 1, -1), (1, 0, -1), (-1, -1, -1)],
+    ),
+    ([(0, 0)], [(-1, 0), (0, -1), (0, 1), (1, 0)]),
+    ([(0,)], [(-1,), (1,)]),
+]
+
+
+class TestConeInequalities:
+    def test_matches_fourier_motzkin_on_full_dimensional_cones(self):
+        rng = seeded(107)
+        checked = 0
+        while checked < 60:
+            rank = rng.randint(1, 3)
+            gens = [
+                tuple(rng.randint(-3, 3) for _ in range(rank))
+                for _ in range(rng.randint(1, 5))
+            ]
+            if rank_of([list(g) for g in gens]) < rank:
+                continue
+            assert polyhedra.cone_inequalities(gens, rank) == fm_cone_inequalities(
+                gens, rank
+            )
+            checked += 1
+
+    @pytest.mark.parametrize("name", sorted(HARD_CONES))
+    def test_hard_cone(self, name):
+        gens = HARD_CONES[name]
+        rank = len(gens[0])
+        start = time.perf_counter()
+        m = lattice.cone_from_generators(gens, rank)
+        assert time.perf_counter() - start < 1.0
+        # the box {-2..2}^rank and the unit steps off every sum of two
+        # generators, where about half the points lie outside the cone
+        points = set(product(range(-2, 3), repeat=rank))
+        for g in gens:
+            for h in gens:
+                for i, step in product(range(rank), (1, -1)):
+                    p = [x + y for x, y in zip(g, h)]
+                    p[i] += step
+                    points.add(tuple(p))
+        for point in sorted(points):
+            assert lattice.contains(m, point) == cone_member_oracle(gens, rank, point)
+
+    @pytest.mark.parametrize("gens, expected", CANONICAL)
+    def test_lower_dimensional_canonical_form(self, gens, expected):
+        assert polyhedra.cone_inequalities(gens, len(gens[0])) == expected
+
+
+@st.composite
+def generator_sets(draw):
+    """Up to 7 generators of rank <= 4 with entries in -3..3.  In a confined
+    set each coordinate is free, zero, or a signed copy of an earlier one, so
+    the set may lie in a proper subspace."""
+    rank = draw(st.integers(1, 4))
+    links = ["free"] * rank
+    if draw(st.booleans()):
+        links = [
+            draw(st.sampled_from(
+                ["free", "zero"] + [(j, s) for j in range(i) for s in (1, -1)]
+            ))
+            for i in range(rank)
+        ]
+    raw = draw(st.lists(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank),
+                        min_size=1, max_size=7))
+    gens = []
+    for v in raw:
+        g = []
+        for x, link in zip(v, links):
+            if link == "free":
+                g.append(x)
+            elif link == "zero":
+                g.append(0)
+            else:
+                g.append(link[1] * g[link[0]])
+        gens.append(tuple(g))
+    return rank, gens
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(generator_sets())
+def test_facet_normals_property(drawn):
+    rank, gens = drawn
+    m = lattice.cone_from_generators(gens, rank)
+    span = rank_of([list(g) for g in gens])
+    listed = set(m.facet_normals)
+    for a in m.facet_normals:
+        zeros = [g for g in gens if dot(a, g) == 0]
+        assert (tuple(-x for x in a) in listed) == (len(zeros) == len(gens))
+        if len(zeros) < len(gens):
+            assert all(dot(a, g) >= 0 for g in gens)
+            assert rank_of([list(g) for g in zeros]) == span - 1
+    # canonical form: another generator set of the same cone lists the same
+    sums = gens + [tuple(x + y for x, y in zip(gens[0], g)) for g in gens]
+    assert polyhedra.cone_inequalities(sums, rank) == list(m.facet_normals)
+    for point in product(range(-2, 3), repeat=rank):
+        assert lattice.contains(m, point) == cone_member_oracle(gens, rank, point)
