@@ -365,14 +365,9 @@ def _cmd_hilb_cells(args):
     cells = []
     lines = [f"cells for d = {args.d}, w = {list(w)}"]
     for partition in hilb.partitions(args.d):
-        ideal = hilb.ideal_from_partition(partition)
-        dim = hilb.cell_dimension(ideal, w)
+        dim, generic = hilb.cell(hilb.ideal_from_partition(partition), w)
         cells.append(
-            {
-                "partition": _vec(partition),
-                "dimension": _s(dim),
-                "generic": hilb.is_generic(ideal, w),
-            }
+            {"partition": _vec(partition), "dimension": _s(dim), "generic": generic}
         )
         lines.append(f"  {list(partition)}: dim {dim}")
     payload = {"d": _s(args.d), "weight": _vec(w), "cells": cells}

@@ -148,15 +148,21 @@ def _hom_dimension(partition, gens, delta):
 
 def is_generic(ideal, w):
     """Whether no tangent weight at this ideal pairs to zero with w."""
-    return all(
-        w[0] * t1 + w[1] * t2 != 0 for t1, t2 in tangent_character_armleg(ideal)
-    )
+    return cell(ideal, w)[1]
 
 
 def cell_dimension(ideal, w):
     """Dimension of the cell at this fixed point for the one-parameter flow w:
     the tangent weights pairing nonnegatively with w, counted with multiplicity."""
     return _nonnegative_part(tangent_character_armleg(ideal), (w,))
+
+
+def cell(ideal, w):
+    """(cell_dimension, is_generic) at this fixed point for the flow w, both
+    read from one arm/leg character."""
+    character = tangent_character_armleg(ideal)
+    generic = all(w[0] * t1 + w[1] * t2 != 0 for t1, t2 in character)
+    return _nonnegative_part(character, (w,)), generic
 
 
 def intersection_dimension(ideal, w1, w2):

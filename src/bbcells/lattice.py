@@ -6,7 +6,7 @@ queries are answered in the saturation cone(S) intersected with Z^n.
 """
 
 from dataclasses import dataclass
-from itertools import count, product
+from itertools import count
 
 from . import intlinalg, polyhedra
 from .errors import MonoidHasUnits, RankMismatch
@@ -41,7 +41,7 @@ class LatticeProjection:
 
 
 def _build(generators, rank):
-    gens = tuple(tuple(int(x) for x in g) for g in generators)
+    gens = tuple(tuple(g) for g in generators)
     normals = tuple(polyhedra.cone_inequalities(gens, rank))
     if normals:
         lineality = intlinalg.kernel_basis([list(a) for a in normals])
@@ -71,6 +71,9 @@ def cone_from_generators(generators, rank):
     for g in generators:
         if len(g) != rank:
             raise RankMismatch(f"generator {tuple(g)} does not have length {rank}")
+        for x in g:
+            if type(x) is not int:  # also rejects bool, a subclass of int
+                raise ValueError(f"generator entry {x!r} is not an integer")
     return _build(generators, rank)
 
 
@@ -105,19 +108,57 @@ def kempf_vector(monoid):
     pairing >= 1 with every nonzero generator.
 
     Such w exists precisely because the cone is pointed: the dual cone is
-    full-dimensional, so its interior contains integer points.
+    full-dimensional, so its interior contains integer points.  For n = 1,
+    2, ... a lexicographic depth-first search of [-n, n]^rank that tightens
+    the bounds by every pairing at each node returns its first valid leaf,
+    whose norm is n since the box of n - 1 holds no valid vector.
     """
     if not has_zero(monoid):
         raise MonoidHasUnits("monoid has nontrivial units; reduce_to_zero first")
     gens = [g for g in monoid.generators if any(x != 0 for x in g)]
-    if monoid.rank == 0 or not gens:
-        return KempfVector(w=(0,) * monoid.rank if monoid.rank else ())
+    if not gens:
+        return KempfVector(w=(0,) * monoid.rank)
     for n in count(1):
-        for w in product(range(-n, n + 1), repeat=monoid.rank):
-            if max(abs(x) for x in w) != n:
-                continue
-            if all(sum(a * b for a, b in zip(w, g)) >= 1 for g in gens):
-                return KempfVector(w=w)
+        w = _lex_first(gens, [-n] * monoid.rank, [n] * monoid.rank)
+        if w is not None:
+            return KempfVector(w=w)
+
+
+def _lex_first(gens, lo, hi):
+    """Lexicographically smallest integer w with lo <= w <= hi and
+    <w, g> >= 1 for every g in gens, or None."""
+    if not _tighten(gens, lo, hi):
+        return None
+    i = next((i for i in range(len(lo)) if lo[i] < hi[i]), None)
+    if i is None:
+        return tuple(lo)
+    for v in range(lo[i], hi[i] + 1):
+        w = _lex_first(gens, lo[:i] + [v] + lo[i + 1:], hi[:i] + [v] + hi[i + 1:])
+        if w is not None:
+            return w
+    return None
+
+
+def _tighten(gens, lo, hi):
+    """Shrink lo, hi in place by every <w, g> >= 1 until nothing changes;
+    False when some constraint cannot be met in the box.  Tightening by g
+    keeps lo <= hi and the largest value of <w, g> over the box."""
+    changed = True
+    while changed:
+        changed = False
+        for g in gens:
+            ends = [hi[j] if a > 0 else lo[j] for j, a in enumerate(g)]
+            top = sum(a * e for a, e in zip(g, ends))
+            if top < 1:
+                return False
+            for j, a in enumerate(g):
+                # a * w_j >= 1 - (the largest value of the other terms)
+                need = 1 - top + a * ends[j]
+                if a > 0 and -(-need // a) > lo[j]:
+                    lo[j], changed = -(-need // a), True
+                elif a < 0 and need // a < hi[j]:
+                    hi[j], changed = need // a, True
+    return True
 
 
 def reduce_to_zero(monoid):

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, count, product
 from math import lcm
 
 from bbcells import algebra, lattice, polyhedra
@@ -31,6 +31,23 @@ def random_pointed_monoid(rng, max_rank=3):
     if monoid.rank == 0:
         monoid = lattice.cone_from_generators([(1,)], 1)
     return monoid
+
+
+def brute_kempf_vector(monoid, max_norm=None):
+    """Kempf vector of a pointed monoid by trying every point of every shell
+    of [-n, n]^rank in lexicographic order, for small answers.  None when no
+    valid vector has max-norm at most max_norm."""
+    gens = [g for g in monoid.generators if any(x != 0 for x in g)]
+    if not gens:
+        return (0,) * monoid.rank
+    for n in count(1):
+        if max_norm is not None and n > max_norm:
+            return None
+        for w in product(range(-n, n + 1), repeat=monoid.rank):
+            if max(abs(x) for x in w) != n:
+                continue
+            if all(sum(a * b for a, b in zip(w, g)) >= 1 for g in gens):
+                return w
 
 
 def solve_exact(mat, rhs):

@@ -148,6 +148,17 @@ class TestCellDimension:
             for p in hilb.partitions(d):
                 assert hilb.cell_dimension(hilb.ideal_from_partition(p), w) == d + p[0]
 
+    def test_cell_reads_dimension_and_genericity(self):
+        # (1, 1) pairs to zero with tangent weights such as (1, -1)
+        for d in range(1, 7):
+            for p in hilb.partitions(d):
+                ideal = hilb.ideal_from_partition(p)
+                for w in [(1, d + 1), (1, 1), (2, -1), (0, 1)]:
+                    generic = all(w[0] * a + w[1] * b != 0 for a, b in char(p))
+                    dim = hilb.cell_dimension(ideal, w)
+                    assert hilb.cell(ideal, w) == (dim, generic)
+                    assert hilb.is_generic(ideal, w) == generic
+
 
 class TestIntersectionDimension:
     def test_spot_value(self):

@@ -1,4 +1,6 @@
+import re
 import time
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -7,7 +9,14 @@ from hypothesis import given, settings, strategies as st
 from bbcells import lattice, polyhedra
 from bbcells.errors import MonoidHasUnits, RankMismatch
 from bbcells.intlinalg import rank_of
-from conftest import cone_member_oracle, fm_cone_inequalities, random_monoid, seeded
+from conftest import (
+    brute_kempf_vector,
+    cone_member_oracle,
+    fm_cone_inequalities,
+    random_monoid,
+    random_pointed_monoid,
+    seeded,
+)
 
 
 def mono(gens, rank):
@@ -37,6 +46,11 @@ class TestConeFromGenerators:
             lattice.cone_from_generators([], 2)
         with pytest.raises(RankMismatch):
             lattice.cone_from_generators([(1, 0)], 1)
+
+    @pytest.mark.parametrize("entry", [1.9, 1.0, True, False, "1", Fraction(1)])
+    def test_rejects_entries_that_are_not_integers(self, entry):
+        with pytest.raises(ValueError, match=re.escape(repr(entry))):
+            lattice.cone_from_generators([(entry, 0), (0, 1)], 2)
 
 
 class TestContains:
@@ -101,6 +115,39 @@ class TestKempfVector:
         m = mono([(1, 0), (-1, 0), (0, 1)], 2)
         with pytest.raises(MonoidHasUnits):
             lattice.kempf_vector(m)
+
+    def test_matches_brute_force_up_to_rank_three(self):
+        rng = seeded(108)
+        for _ in range(300):
+            m = random_pointed_monoid(rng)
+            assert lattice.kempf_vector(m).w == brute_kempf_vector(m)
+
+    def test_matches_brute_force_at_rank_four(self):
+        # the shell search is only affordable on answers of norm <= 3
+        rng = seeded(109)
+        compared = 0
+        while compared < 40:
+            gens = [tuple(rng.randint(-3, 3) for _ in range(4))
+                    for _ in range(rng.randint(1, 6))]
+            gens = [g for g in gens if any(g)] or [(0, 0, 0, 1)]
+            m = mono(gens, 4)
+            if not lattice.has_zero(m):
+                continue
+            w = lattice.kempf_vector(m).w
+            expected = brute_kempf_vector(m, max_norm=3)
+            if expected is None:
+                assert max(abs(x) for x in w) > 3
+            else:
+                assert w == expected
+                compared += 1
+
+    def test_skew_chains(self):
+        # the shell search took 2.7 s at k = 5 and more than 60 s at k = 9
+        start = time.perf_counter()
+        for k in range(1, 10):
+            m = mono([(1, 0, 0), (-k, 1, 0), (0, -k, 1)], 3)
+            assert lattice.kempf_vector(m).w == (1, k + 1, k * k + k + 1)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestReduceToZero:
@@ -315,3 +362,27 @@ def test_facet_normals_property(drawn):
     assert polyhedra.cone_inequalities(sums, rank) == list(m.facet_normals)
     for point in product(range(-2, 3), repeat=rank):
         assert lattice.contains(m, point) == cone_member_oracle(gens, rank, point)
+
+
+@st.composite
+def pointed_monoids(draw):
+    """A monoid of rank <= 3 with entries in -3..3, reduced to one with zero."""
+    rank = draw(st.integers(1, 3))
+    gens = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * rank), min_size=1,
+                         max_size=5))
+    m = lattice.cone_from_generators(gens, rank)
+    return lattice.reduce_to_zero(m).image_monoid
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(pointed_monoids())
+def test_kempf_vector_property(m):
+    w = lattice.kempf_vector(m).w
+    gens = [g for g in m.generators if any(g)]
+    if not gens:
+        assert w == (0,) * m.rank
+        return
+    assert all(dot(w, g) >= 1 for g in gens)
+    smaller = max(abs(x) for x in w) - 1
+    for v in product(range(-smaller, smaller + 1), repeat=m.rank):
+        assert not all(dot(v, g) >= 1 for g in gens)
