@@ -1,9 +1,5 @@
-"""Command-line surface.
-
-Subcommands:
-    monoid analyze|reduce
-    algebra bbplus|fixed|check|truncate|stabilize|algebraize
-    hilb fixed-points|tangent|cells|intersect|poincare
+"""Command-line surface: `bbcells <group> <command>`, one entry per
+subcommand in the command table `_TABLE`.
 
 All integers in JSON payloads are decimal strings, so arbitrary-precision
 values survive any JSON reader.  Identical inputs give byte-identical
@@ -77,9 +73,8 @@ def load_weighting(doc):
 def load_presentation(path):
     doc = _load_json(path)
     weighting = load_weighting(doc)
-    names = weighting.names
     relations = tuple(
-        polyparse.parse_polynomial(src, names)
+        polyparse.parse_polynomial(src, weighting.names)
         for src in _parse_list(doc.get("relations", []), "polynomial strings", str)
     )
     return algebra.GradedPresentation(weighting=weighting, relations=relations)
@@ -88,10 +83,9 @@ def load_presentation(path):
 def load_quotient(path):
     doc = _load_json(path)
     weighting = load_weighting(doc)
-    names = weighting.names
     gens = []
     for src in _parse_list(doc.get("monomial_generators", []), "monomials", str):
-        poly = polyparse.parse_polynomial(src, names)
+        poly = polyparse.parse_polynomial(src, weighting.names)
         if len(poly.terms) != 1 or poly.terms[0][0] != 1:
             raise DomainError(f"not a monomial: {src!r}")
         gens.append(poly.terms[0][1])
@@ -120,95 +114,69 @@ def presentation_payload(presentation):
     }
 
 
-def _weight_pair(text):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected two comma-separated integers")
-    try:
-        return (int(parts[0]), int(parts[1]))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _flag_ints(count=None):
+    """argparse type for comma-separated plain decimal integers, the rule
+    _parse_int applies to JSON strings: exactly `count` of them if given, as
+    a tuple, or as one int when count is 1."""
+    shape = {1: "a decimal integer", 2: "two comma-separated integers"}
 
-
-def _int_vector(text):
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="bbcells",
-        description="Exact limit-cell computations for torus actions "
-        "and the Hilbert scheme of points on the plane.",
-    )
-    sub = parser.add_subparsers(dest="group", required=True)
-
-    monoid = sub.add_parser("monoid", help="affine semigroup analysis")
-    monoid_sub = monoid.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("analyze", "facets, units, zero criterion, Kempf vector"),
-        ("reduce", "project away the unit lattice"),
-    ):
-        p = monoid_sub.add_parser(name, help=help_text)
-        p.add_argument("-i", "--input", required=True, help="monoid JSON file")
-        p.add_argument("--json", action="store_true")
-
-    alg = sub.add_parser("algebra", help="graded presentation operations")
-    alg_sub = alg.add_subparsers(dest="command", required=True)
-    for name, help_text, needs_monoid in (
-        ("bbplus", "presentation of the limit subscheme", True),
-        ("fixed", "presentation of the fixed locus", False),
-        ("check", "open-immersion criterion at the origin", True),
-        ("truncate", "graded dimensions of a truncation", True),
-        ("stabilize", "dimension sequence in one weight", True),
-        ("algebraize", "compare truncations with the full algebra", True),
-    ):
-        p = alg_sub.add_parser(name, help=help_text)
-        p.add_argument("-i", "--input", required=True, help="input JSON file")
-        if needs_monoid:
-            p.add_argument("-m", "--monoid", required=True, help="monoid JSON file")
-        p.add_argument("--json", action="store_true")
-        if name in ("truncate", "stabilize"):
-            p.add_argument("-n", type=int, required=True, help="truncation level")
-        if name == "stabilize":
-            p.add_argument("-w", type=_int_vector, required=True, help="weight a,b,...")
-        if name == "algebraize":
-            p.add_argument("--bound", type=int, required=True, help="Kempf degree bound")
-
-    hb = sub.add_parser("hilb", help="Hilbert scheme of points on the plane")
-    hb_sub = hb.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("fixed-points", "partitions indexing monomial ideals"),
-        ("tangent", "bigraded tangent characters at every fixed point"),
-        ("cells", "cell dimensions for a weight vector"),
-        ("intersect", "cell-intersection dimensions for two weight vectors"),
-        ("poincare", "cell-dimension histogram"),
-    ):
-        p = hb_sub.add_parser(name, help=help_text)
-        p.add_argument("-d", type=int, required=True, help="number of points")
-        if name in ("cells", "intersect", "poincare"):
-            p.add_argument(
-                "-w",
-                action="append",
-                type=_weight_pair,
-                help="weight vector a,b (repeat for intersections); "
-                "defaults to the certified-generic 1,d+1",
+    def parse(text):
+        parts = text.split(",")
+        if count not in (None, len(parts)) or not all(map(_DECIMAL.fullmatch, parts)):
+            raise argparse.ArgumentTypeError(
+                f"expected {shape.get(count, 'comma-separated integers')}"
             )
-        p.add_argument("--json", action="store_true")
+        values = tuple(int(p) for p in parts)
+        return values[0] if count == 1 else values
 
-    return parser
-
-
-def _emit(args, payload, table_lines):
-    if args.json:
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        sys.stdout.write("\n".join(table_lines) + "\n")
+    return parse
 
 
-def _cmd_monoid_analyze(args):
+_INT = _flag_ints(1)
+
+# argparse flags, keyed by the names the command table uses
+_OPTIONS = {
+    "monoid-input": (("-i", "--input"), dict(required=True, help="monoid JSON file")),
+    "input": (("-i", "--input"), dict(required=True, help="input JSON file")),
+    "monoid": (("-m", "--monoid"), dict(required=True, help="monoid JSON file")),
+    "json": (("--json",), dict(action="store_true")),
+    "n": (("-n",), dict(type=_INT, required=True, help="truncation level")),
+    "weight": (("-w",), dict(type=_flag_ints(), required=True, help="weight a,b,...")),
+    "bound": (("--bound",), dict(type=_INT, required=True, help="Kempf degree bound")),
+    "d": (("-d",), dict(type=_INT, required=True, help="number of points")),
+    "flows": (
+        ("-w",),
+        dict(
+            action="append",
+            type=_flag_ints(2),
+            help="weight vector a,b (repeat for intersections); "
+            "defaults to the certified-generic 1,d+1",
+        ),
+    ),
+}
+
+_GROUPS = {
+    "monoid": "affine semigroup analysis",
+    "algebra": "graded presentation operations",
+    "hilb": "Hilbert scheme of points on the plane",
+}
+
+# (group, command) -> (help text, option keys in order, handler); a handler
+# takes the parsed arguments and returns (JSON payload, text-table lines)
+_TABLE = {}
+
+
+def _command(group, name, help_text, *options):
+    def register(handler):
+        _TABLE[group, name] = (help_text, options, handler)
+        return handler
+
+    return register
+
+
+@_command("monoid", "analyze", "facets, units, zero criterion, Kempf vector",
+          "monoid-input", "json")
+def _monoid_analyze(args):
     monoid = load_monoid(args.input)
     zero = lattice.has_zero(monoid)
     kempf = lattice.kempf_vector(monoid).w if zero else None
@@ -223,10 +191,11 @@ def _cmd_monoid_analyze(args):
         f"has zero:      {zero}",
         f"kempf vector:  {list(kempf) if kempf is not None else '-'}",
     ]
-    _emit(args, payload, lines)
+    return payload, lines
 
 
-def _cmd_monoid_reduce(args):
+@_command("monoid", "reduce", "project away the unit lattice", "monoid-input", "json")
+def _monoid_reduce(args):
     monoid = load_monoid(args.input)
     proj = lattice.reduce_to_zero(monoid)
     payload = {
@@ -240,37 +209,32 @@ def _cmd_monoid_reduce(args):
         f"target rank:  {proj.target_rank}",
         f"image gens:   {list(map(list, proj.image_monoid.generators))}",
     ]
-    _emit(args, payload, lines)
+    return payload, lines
 
 
-def _cmd_algebra_bbplus(args):
+def _presentation_output(pres):
+    payload = presentation_payload(pres)
+    variables = pres.weighting.variables
+    lines = ["variables:"] + [f"  {name}  weight {list(w)}" for name, w in variables]
+    lines += ["relations:"] + [f"  {rel}" for rel in payload["relations"] or ["(none)"]]
+    return payload, lines
+
+
+@_command("algebra", "bbplus", "presentation of the limit subscheme",
+          "input", "monoid", "json")
+def _algebra_bbplus(args):
     pres = load_presentation(args.input)
-    monoid = load_monoid(args.monoid)
-    out = algebra.bb_plus(pres, monoid)
-    payload = presentation_payload(out)
-    lines = _presentation_lines(out)
-    _emit(args, payload, lines)
+    return _presentation_output(algebra.bb_plus(pres, load_monoid(args.monoid)))
 
 
-def _cmd_algebra_fixed(args):
-    out = algebra.fixed_locus(load_presentation(args.input))
-    _emit(args, presentation_payload(out), _presentation_lines(out))
+@_command("algebra", "fixed", "presentation of the fixed locus", "input", "json")
+def _algebra_fixed(args):
+    return _presentation_output(algebra.fixed_locus(load_presentation(args.input)))
 
 
-def _presentation_lines(pres):
-    w = pres.weighting
-    lines = ["variables:"]
-    for name, weight in w.variables:
-        lines.append(f"  {name}  weight {list(weight)}")
-    lines.append("relations:")
-    if not pres.relations:
-        lines.append("  (none)")
-    for rel in pres.relations:
-        lines.append(f"  {polyparse.print_polynomial(rel, w.names)}")
-    return lines
-
-
-def _cmd_algebra_check(args):
+@_command("algebra", "check", "open-immersion criterion at the origin",
+          "input", "monoid", "json")
+def _algebra_check(args):
     pres = load_presentation(args.input)
     monoid = load_monoid(args.monoid)
     ok = algebra.open_immersion_check(pres, monoid)
@@ -280,23 +244,25 @@ def _cmd_algebra_check(args):
         f"open immersion at the origin: {ok}",
         f"outsider variables:           {outsiders or '-'}",
     ]
-    _emit(args, payload, lines)
+    return payload, lines
 
 
-def _cmd_algebra_truncate(args):
+@_command("algebra", "truncate", "graded dimensions of a truncation",
+          "input", "monoid", "json", "n")
+def _algebra_truncate(args):
     quotient = load_quotient(args.input)
     monoid = load_monoid(args.monoid)
-    dims = algebra.truncate(quotient, monoid, args.n)
-    rows = [
-        {"weight": _vec(w), "dimension": _s(dim)} for w, dim in sorted(dims.items())
-    ]
+    dims = sorted(algebra.truncate(quotient, monoid, args.n).items())
+    rows = [{"weight": _vec(w), "dimension": _s(dim)} for w, dim in dims]
     payload = {"level": _s(args.n), "rows": rows}
     lines = [f"truncation level {args.n}", "weight -> dimension"]
-    lines += [f"  {list(w)} -> {dim}" for w, dim in sorted(dims.items())]
-    _emit(args, payload, lines)
+    lines += [f"  {list(w)} -> {dim}" for w, dim in dims]
+    return payload, lines
 
 
-def _cmd_algebra_stabilize(args):
+@_command("algebra", "stabilize", "dimension sequence in one weight",
+          "input", "monoid", "json", "n", "weight")
+def _algebra_stabilize(args):
     quotient = load_quotient(args.input)
     monoid = load_monoid(args.monoid)
     report = algebra.stabilization_check(quotient, monoid, args.w, args.n)
@@ -314,22 +280,21 @@ def _cmd_algebra_stabilize(args):
         f"stable:          {report.stable}",
         f"limit dimension: {report.limit_dimension}",
     ]
-    _emit(args, payload, lines)
+    return payload, lines
 
 
-def _cmd_algebra_algebraize(args):
+@_command("algebra", "algebraize", "compare truncations with the full algebra",
+          "input", "monoid", "json", "bound")
+def _algebra_algebraize(args):
     quotient = load_quotient(args.input)
     monoid = load_monoid(args.monoid)
     ok = algebra.algebraize_check(quotient, monoid, args.bound)
     payload = {"bound": _s(args.bound), "algebraizes": ok}
-    _emit(args, payload, [f"algebraizes up to Kempf degree {args.bound}: {ok}"])
+    return payload, [f"algebraizes up to Kempf degree {args.bound}: {ok}"]
 
 
-def _default_weights(args):
-    return args.w if args.w else [hilb.default_generic_weight(args.d)]
-
-
-def _cmd_hilb_fixed_points(args):
+@_command("hilb", "fixed-points", "partitions indexing monomial ideals", "d", "json")
+def _hilb_fixed_points(args):
     parts = hilb.partitions(args.d)
     payload = {
         "d": _s(args.d),
@@ -338,109 +303,114 @@ def _cmd_hilb_fixed_points(args):
     }
     lines = [f"monomial ideals for d = {args.d}: {len(parts)}"]
     lines += [f"  {list(p)}" for p in parts]
-    _emit(args, payload, lines)
+    return payload, lines
 
 
-def _character_entries(character):
-    return [
-        [_s(w1), _s(w2), _s(mult)] for (w1, w2), mult in sorted(character.items())
-    ]
-
-
-def _cmd_hilb_tangent(args):
+@_command("hilb", "tangent", "bigraded tangent characters at every fixed point",
+          "d", "json")
+def _hilb_tangent(args):
     records = []
     lines = [f"tangent characters for d = {args.d}"]
     for partition in hilb.partitions(args.d):
         ideal = hilb.ideal_from_partition(partition)
-        character = hilb.tangent_character_linalg(ideal)
-        records.append(
-            {"partition": _vec(partition), "character": _character_entries(character)}
-        )
-        lines.append(f"  {list(partition)}: {sorted(character.items())}")
-    _emit(args, {"d": _s(args.d), "tangent": records}, lines)
+        entries = sorted(hilb.tangent_character_linalg(ideal).items())
+        character = [[_s(w1), _s(w2), _s(mult)] for (w1, w2), mult in entries]
+        records.append({"partition": _vec(partition), "character": character})
+        lines.append(f"  {list(partition)}: {entries}")
+    return {"d": _s(args.d), "tangent": records}, lines
 
 
-def _cmd_hilb_cells(args):
-    w = _default_weights(args)[0]
-    cells = []
-    lines = [f"cells for d = {args.d}, w = {list(w)}"]
-    for partition in hilb.partitions(args.d):
-        dim, generic = hilb.cell(hilb.ideal_from_partition(partition), w)
-        cells.append(
-            {"partition": _vec(partition), "dimension": _s(dim), "generic": generic}
-        )
+def _cell_rows(d, dimension, **extra):
+    """JSON records and table lines of one dimension per fixed point."""
+    cells, lines = [], []
+    for partition in hilb.partitions(d):
+        dim = dimension(hilb.ideal_from_partition(partition))
+        cells.append({"partition": _vec(partition), "dimension": _s(dim), **extra})
         lines.append(f"  {list(partition)}: dim {dim}")
+    return cells, lines
+
+
+def _one_weight(args):
+    """The -w flow of a command that takes at most one; (1, d+1) by default."""
+    if len(args.w or []) > 1:
+        raise DomainError(f"{args.command} takes at most one -w weight vector")
+    return args.w[0] if args.w else hilb.default_generic_weight(args.d)
+
+
+@_command("hilb", "cells", "cell dimensions for a weight vector", "d", "flows", "json")
+def _hilb_cells(args):
+    w = _one_weight(args)
+    # hilb.cell rejects a weight that is not generic, so "generic" is always true
+    cells, lines = _cell_rows(args.d, lambda ideal: hilb.cell(ideal, w), generic=True)
     payload = {"d": _s(args.d), "weight": _vec(w), "cells": cells}
-    _emit(args, payload, lines)
+    return payload, [f"cells for d = {args.d}, w = {list(w)}"] + lines
 
 
-def _cmd_hilb_intersect(args):
-    weights = args.w or []
-    if len(weights) != 2:
-        raise DomainError("intersect needs exactly two -w weight vectors")
-    w1, w2 = weights
-    cells = []
-    lines = [f"cell intersections for d = {args.d}, w1 = {list(w1)}, w2 = {list(w2)}"]
-    for partition in hilb.partitions(args.d):
-        ideal = hilb.ideal_from_partition(partition)
-        dim = hilb.intersection_dimension(ideal, w1, w2)
-        cells.append({"partition": _vec(partition), "dimension": _s(dim)})
-        lines.append(f"  {list(partition)}: dim {dim}")
-    payload = {
-        "d": _s(args.d),
-        "weights": [_vec(w1), _vec(w2)],
-        "cells": cells,
-    }
-    _emit(args, payload, lines)
+@_command("hilb", "intersect", "cell-intersection dimensions for two weight vectors",
+          "d", "flows", "json")
+def _hilb_intersect(args):
+    if len(args.w or []) != 2:
+        raise DomainError(f"{args.command} needs exactly two -w weight vectors")
+    w1, w2 = args.w
+    cells, lines = _cell_rows(
+        args.d, lambda ideal: hilb.intersection_dimension(ideal, w1, w2)
+    )
+    payload = {"d": _s(args.d), "weights": [_vec(w1), _vec(w2)], "cells": cells}
+    title = f"cell intersections for d = {args.d}, w1 = {list(w1)}, w2 = {list(w2)}"
+    return payload, [title] + lines
 
 
-def _cmd_hilb_poincare(args):
-    w = _default_weights(args)[0]
-    histogram = hilb.poincare_histogram(args.d, w)
-    payload = {
-        "d": _s(args.d),
-        "weight": _vec(w),
-        "histogram": [
-            {"dimension": _s(dim), "count": _s(n)} for dim, n in histogram.items()
-        ],
-    }
+@_command("hilb", "poincare", "cell-dimension histogram", "d", "flows", "json")
+def _hilb_poincare(args):
+    w = _one_weight(args)
+    histogram = hilb.poincare_histogram(args.d, w).items()
+    rows = [{"dimension": _s(dim), "count": _s(n)} for dim, n in histogram]
+    payload = {"d": _s(args.d), "weight": _vec(w), "histogram": rows}
     lines = [f"cell-dimension histogram for d = {args.d}, w = {list(w)}"]
-    lines += [f"  dim {dim}: {n} cell(s)" for dim, n in histogram.items()]
-    _emit(args, payload, lines)
+    lines += [f"  dim {dim}: {n} cell(s)" for dim, n in histogram]
+    return payload, lines
 
 
-_COMMANDS = {
-    ("monoid", "analyze"): _cmd_monoid_analyze,
-    ("monoid", "reduce"): _cmd_monoid_reduce,
-    ("algebra", "bbplus"): _cmd_algebra_bbplus,
-    ("algebra", "fixed"): _cmd_algebra_fixed,
-    ("algebra", "check"): _cmd_algebra_check,
-    ("algebra", "truncate"): _cmd_algebra_truncate,
-    ("algebra", "stabilize"): _cmd_algebra_stabilize,
-    ("algebra", "algebraize"): _cmd_algebra_algebraize,
-    ("hilb", "fixed-points"): _cmd_hilb_fixed_points,
-    ("hilb", "tangent"): _cmd_hilb_tangent,
-    ("hilb", "cells"): _cmd_hilb_cells,
-    ("hilb", "intersect"): _cmd_hilb_intersect,
-    ("hilb", "poincare"): _cmd_hilb_poincare,
-}
+def build_parser():
+    """The argparse tree of the command table, flags in table order."""
+    parser = argparse.ArgumentParser(
+        prog="bbcells",
+        description="Exact limit-cell computations for torus actions "
+        "and the Hilbert scheme of points on the plane.",
+    )
+    groups = parser.add_subparsers(dest="group", required=True)
+    commands = {}
+    for (group, name), (help_text, options, _) in _TABLE.items():
+        if group not in commands:
+            sub = groups.add_parser(group, help=_GROUPS[group])
+            commands[group] = sub.add_subparsers(dest="command", required=True)
+        p = commands[group].add_parser(name, help=help_text)
+        for key in options:
+            flags, spec = _OPTIONS[key]
+            p.add_argument(*flags, **spec)
+    return parser
+
+
+# built once per process: parsing leaves no state on the parser
+PARSER = build_parser()
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = _COMMANDS[(args.group, args.command)]
+    args = PARSER.parse_args(argv)
+    handler = _TABLE[args.group, args.command][2]
     try:
-        handler(args)
+        payload, lines = handler(args)
     except DomainError as exc:
         sys.stderr.write(f"error[{exc.code}]: {exc}\n")
         return 1
     except FileNotFoundError as exc:
         sys.stderr.write(f"error[missing-file]: {exc}\n")
         return 1
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         sys.stderr.write(f"error[bad-input]: {exc}\n")
         return 1
+    text = json.dumps(payload, indent=2) if args.json else "\n".join(lines)
+    sys.stdout.write(text + "\n")
     return 0
 
 

@@ -148,7 +148,8 @@ def _hom_dimension(partition, gens, delta):
 
 def is_generic(ideal, w):
     """Whether no tangent weight at this ideal pairs to zero with w."""
-    return cell(ideal, w)[1]
+    character = tangent_character_armleg(ideal)
+    return all(w[0] * t1 + w[1] * t2 != 0 for t1, t2 in character)
 
 
 def cell_dimension(ideal, w):
@@ -158,11 +159,14 @@ def cell_dimension(ideal, w):
 
 
 def cell(ideal, w):
-    """(cell_dimension, is_generic) at this fixed point for the flow w, both
-    read from one arm/leg character."""
+    """Dimension of the cell at this fixed point for the flow w, read from one
+    arm/leg character; raises NonGenericWeight if w pairs to zero with some
+    tangent weight."""
     character = tangent_character_armleg(ideal)
-    generic = all(w[0] * t1 + w[1] * t2 != 0 for t1, t2 in character)
-    return _nonnegative_part(character, (w,)), generic
+    for t in character:
+        if w[0] * t[0] + w[1] * t[1] == 0:
+            raise NonGenericWeight(ideal.partition, w, t)
+    return _nonnegative_part(character, (w,))
 
 
 def intersection_dimension(ideal, w1, w2):
@@ -191,10 +195,6 @@ def poincare_histogram(d, w):
     """
     counts = {}
     for partition in partitions(d):
-        character = tangent_character_armleg(ideal_from_partition(partition))
-        for t1, t2 in character:
-            if w[0] * t1 + w[1] * t2 == 0:
-                raise NonGenericWeight(partition, w, (t1, t2))
-        dim = _nonnegative_part(character, (w,))
+        dim = cell(ideal_from_partition(partition), w)
         counts[dim] = counts.get(dim, 0) + 1
     return dict(sorted(counts.items()))

@@ -50,6 +50,14 @@ def brute_kempf_vector(monoid, max_norm=None):
                 return w
 
 
+def mat_mul(a, b):
+    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    return [
+        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
+        for i in range(rows)
+    ]
+
+
 def solve_exact(mat, rhs):
     """Solve mat @ x = rhs over the rationals; returns None if inconsistent.
 

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+from bbcells import cli
 from bbcells.cli import main
 
 HERE = os.path.dirname(__file__)
@@ -149,6 +152,79 @@ class TestErrorPaths:
         rc = main(["hilb", "intersect", "-d", "2", "-w", "1,3"])
         assert rc == 1
         assert "error[" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["cells", "poincare"])
+    def test_non_generic_weight_in_both_modes(self, command, capsys):
+        for mode in ([], ["--json"]):
+            assert main(["hilb", command, "-d", "2", "-w", "1,1"] + mode) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error[non-generic-weight]: ")
+
+    @pytest.mark.parametrize("command", ["cells", "poincare"])
+    def test_at_most_one_weight(self, command, capsys):
+        assert main(["hilb", command, "-d", "2", "-w", "1,3", "-w", "1,1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error[domain-error]: {command} takes at most one -w weight vector\n"
+        )
+
+    def test_directory_as_input_is_bad_input(self, tmp_path, capsys):
+        assert main(["monoid", "analyze", "-i", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[bad-input]: ")
+        assert str(tmp_path) in captured.err
+
+
+QUOT_ARGS = ["-i", data("quot_free12.json"), "-m", data("monoid_n.json")]
+# each integer flag, with the slot its value goes into
+INTEGER_FLAGS = {
+    "d": lambda x: ["hilb", "cells", "-d", x],
+    "w_entry": lambda x: ["hilb", "cells", "-d", "2", "-w", f"1,{x}"],
+    "n": lambda x: ["algebra", "truncate", *QUOT_ARGS, "-n", x],
+    "stabilize_w": lambda x: ["algebra", "stabilize", *QUOT_ARGS, "-w", x, "-n", "4"],
+    "bound": lambda x: ["algebra", "algebraize", *QUOT_ARGS, "--bound", x],
+}
+
+
+@pytest.mark.parametrize("flag", sorted(INTEGER_FLAGS))
+@pytest.mark.parametrize("value", ["1_0", "+3", " 3", "\uff13", "1.0"])
+def test_integer_flags_are_plain_decimals(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(INTEGER_FLAGS[flag](value))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument " in captured.err
+
+
+def test_module_entry_point_matches_golden():
+    root = os.path.dirname(HERE)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    argv = ["monoid", "analyze", "-i", data("monoid_n.json"), "--json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "bbcells", *argv],
+        cwd=root, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    with open(os.path.join(GOLDEN, "monoid_analyze.json")) as fh:
+        assert proc.stdout == fh.read()
+
+
+def test_parser_keeps_no_state_between_calls(monkeypatch, capsys):
+    # main reuses the parser built at import; it must not build another
+    monkeypatch.setattr(cli, "build_parser", None)
+    assert main(["hilb", "intersect", "-d", "2", "-w", "1,3", "-w", "3,1"]) == 0
+    capsys.readouterr()
+    # no -w: the default (1, 4) for d = 3, not a weight left from the last call
+    assert main(["hilb", "poincare", "-d", "3", "--json"]) == 0
+    with open(os.path.join(GOLDEN, "hilb_poincare.json")) as fh:
+        assert capsys.readouterr().out == fh.read()
 
 
 MONOID_GOOD = {"rank": 1, "generators": [[1]]}

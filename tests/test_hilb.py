@@ -155,9 +155,16 @@ class TestCellDimension:
                 ideal = hilb.ideal_from_partition(p)
                 for w in [(1, d + 1), (1, 1), (2, -1), (0, 1)]:
                     generic = all(w[0] * a + w[1] * b != 0 for a, b in char(p))
-                    dim = hilb.cell_dimension(ideal, w)
-                    assert hilb.cell(ideal, w) == (dim, generic)
                     assert hilb.is_generic(ideal, w) == generic
+                    if generic:
+                        assert hilb.cell(ideal, w) == hilb.cell_dimension(ideal, w)
+                        continue
+                    with pytest.raises(NonGenericWeight) as err:
+                        hilb.cell(ideal, w)
+                    assert err.value.partition == p
+                    assert err.value.weight == w
+                    t = err.value.tangent_weight
+                    assert t in char(p) and w[0] * t[0] + w[1] * t[1] == 0
 
 
 class TestIntersectionDimension:
