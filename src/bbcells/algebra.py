@@ -44,6 +44,7 @@ class VariableWeighting:
                 raise RankMismatch(
                     f"weight of {name} has length {len(weight)}, expected {self.torus_rank}"
                 )
+            lattice.require_integers(weight, f"weight of {name}")
 
     @property
     def names(self):
@@ -104,6 +105,13 @@ class MonomialQuotient:
     minimal_generators: tuple  # tuple of exponent tuples, an antichain
 
     def __post_init__(self):
+        nvars = len(self.weighting.variables)
+        for g in self.minimal_generators:
+            if len(g) != nvars:
+                raise RankMismatch(f"monomial {tuple(g)} does not have {nvars} exponents")
+            lattice.require_integers(g, "monomial")
+            if any(e < 0 for e in g):
+                raise ValueError(f"monomial {tuple(g)} has a negative exponent")
         gens = minimalize_monomials(self.minimal_generators)
         object.__setattr__(self, "minimal_generators", gens)
 
@@ -117,7 +125,7 @@ def _divides(a, b):
 
 def minimalize_monomials(monomials):
     """Reduce a monomial set to the divisibility antichain of its minima."""
-    mons = sorted({tuple(int(e) for e in m) for m in monomials})
+    mons = sorted({tuple(m) for m in monomials})
     kept = []
     for m in mons:
         if not any(_divides(k, m) for k in kept):
@@ -346,6 +354,7 @@ def _checked_weight(weight, monoid):
         raise RankMismatch(
             f"weight has length {len(weight)}, monoid has rank {monoid.rank}"
         )
+    lattice.require_integers(weight, "weight")
     return weight
 
 

@@ -320,11 +320,11 @@ def _hilb_tangent(args):
     return {"d": _s(args.d), "tangent": records}, lines
 
 
-def _cell_rows(d, dimension, **extra):
-    """JSON records and table lines of one dimension per fixed point."""
+def _cell_rows(d, dimension, *flows, **extra):
+    """JSON records and table lines of dimension(ideal, *flows) per fixed point."""
     cells, lines = [], []
     for partition in hilb.partitions(d):
-        dim = dimension(hilb.ideal_from_partition(partition))
+        dim = dimension(hilb.ideal_from_partition(partition), *flows)
         cells.append({"partition": _vec(partition), "dimension": _s(dim), **extra})
         lines.append(f"  {list(partition)}: dim {dim}")
     return cells, lines
@@ -340,8 +340,8 @@ def _one_weight(args):
 @_command("hilb", "cells", "cell dimensions for a weight vector", "d", "flows", "json")
 def _hilb_cells(args):
     w = _one_weight(args)
-    # hilb.cell rejects a weight that is not generic, so "generic" is always true
-    cells, lines = _cell_rows(args.d, lambda ideal: hilb.cell(ideal, w), generic=True)
+    # cell_dimension rejects weights that are not generic: "generic" is always true
+    cells, lines = _cell_rows(args.d, hilb.cell_dimension, w, generic=True)
     payload = {"d": _s(args.d), "weight": _vec(w), "cells": cells}
     return payload, [f"cells for d = {args.d}, w = {list(w)}"] + lines
 
@@ -352,9 +352,7 @@ def _hilb_intersect(args):
     if len(args.w or []) != 2:
         raise DomainError(f"{args.command} needs exactly two -w weight vectors")
     w1, w2 = args.w
-    cells, lines = _cell_rows(
-        args.d, lambda ideal: hilb.intersection_dimension(ideal, w1, w2)
-    )
+    cells, lines = _cell_rows(args.d, hilb.intersection_dimension, w1, w2)
     payload = {"d": _s(args.d), "weights": [_vec(w1), _vec(w2)], "cells": cells}
     title = f"cell intersections for d = {args.d}, w1 = {list(w1)}, w2 = {list(w2)}"
     return payload, [title] + lines

@@ -153,33 +153,27 @@ def is_generic(ideal, w):
 
 
 def cell_dimension(ideal, w):
-    """Dimension of the cell at this fixed point for the one-parameter flow w:
-    the tangent weights pairing nonnegatively with w, counted with multiplicity."""
-    return _nonnegative_part(tangent_character_armleg(ideal), (w,))
+    """Dimension of the cell at this fixed point for the one-parameter flow w;
+    raises NonGenericWeight if w pairs to zero with some tangent weight."""
+    return intersection_dimension(ideal, w)
 
 
-def cell(ideal, w):
-    """Dimension of the cell at this fixed point for the flow w, read from one
-    arm/leg character; raises NonGenericWeight if w pairs to zero with some
-    tangent weight."""
+def intersection_dimension(ideal, *flows):
+    """Dimension of the intersection of the cells of the given flows at this
+    fixed point, read from one arm/leg character: the tangent weights pairing
+    positively with every flow, counted with multiplicity.  Raises
+    NonGenericWeight for the first flow that pairs to zero with some tangent
+    weight."""
     character = tangent_character_armleg(ideal)
-    for t in character:
-        if w[0] * t[0] + w[1] * t[1] == 0:
-            raise NonGenericWeight(ideal.partition, w, t)
-    return _nonnegative_part(character, (w,))
-
-
-def intersection_dimension(ideal, w1, w2):
-    """Dimension of the intersection of the two cells at this fixed point:
-    tangent weights pairing nonnegatively with both flows."""
-    return _nonnegative_part(tangent_character_armleg(ideal), (w1, w2))
-
-
-def _nonnegative_part(character, weights):
-    entries = character.items()
-    for a, b in weights:
-        entries = [(t, mult) for t, mult in entries if a * t[0] + b * t[1] >= 0]
-    return sum(mult for _, mult in entries)
+    kept = dict(character)
+    for w in flows:
+        for t in character:
+            pairing = w[0] * t[0] + w[1] * t[1]
+            if pairing == 0:
+                raise NonGenericWeight(ideal.partition, w, t)
+            if pairing < 0:
+                kept.pop(t, None)
+    return sum(kept.values())
 
 
 def default_generic_weight(d):
@@ -195,6 +189,6 @@ def poincare_histogram(d, w):
     """
     counts = {}
     for partition in partitions(d):
-        dim = cell(ideal_from_partition(partition), w)
+        dim = cell_dimension(ideal_from_partition(partition), w)
         counts[dim] = counts.get(dim, 0) + 1
     return dict(sorted(counts.items()))

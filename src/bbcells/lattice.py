@@ -58,6 +58,14 @@ def _build(generators, rank):
     )
 
 
+def require_integers(values, what):
+    """Raise ValueError unless every value is an int; bool, a subclass of int,
+    is rejected too."""
+    for x in values:
+        if type(x) is not int:
+            raise ValueError(f"{what} entry {x!r} is not an integer")
+
+
 def cone_from_generators(generators, rank):
     """AffineMonoid with irredundant facet normals and a lineality basis.
 
@@ -71,9 +79,7 @@ def cone_from_generators(generators, rank):
     for g in generators:
         if len(g) != rank:
             raise RankMismatch(f"generator {tuple(g)} does not have length {rank}")
-        for x in g:
-            if type(x) is not int:  # also rejects bool, a subclass of int
-                raise ValueError(f"generator entry {x!r} is not an integer")
+        require_integers(g, "generator")
     return _build(generators, rank)
 
 

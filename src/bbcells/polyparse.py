@@ -1,6 +1,6 @@
 """Parser and printer for polynomial expressions over declared variables.
 
-Grammar:
+Grammar, over ASCII text with whitespace between tokens ignored:
     poly   := ['-'] term (('+'|'-') term)*
     term   := [coeff '*'] factor ('*' factor)* | coeff
     factor := ident ['^' nat]
@@ -11,6 +11,7 @@ print_polynomial inverts parse_polynomial on canonical forms: parsing the
 printed string reproduces the polynomial exactly.
 """
 
+import re
 from fractions import Fraction
 
 from .algebra import GradedPolynomial, make_polynomial
@@ -18,48 +19,31 @@ from .errors import ExponentOverflow, PolynomialSyntaxError, UnknownVariable
 
 MAX_EXPONENT = 2**31 - 1
 
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|([A-Za-z]\w*)|(.?))", re.ASCII | re.DOTALL)
+_NAT, _IDENT = 1, 2
 
-class _Scanner:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+def _tokens(text):
+    """Tokens as (kind, text, offset) triples in a stack, the first on top:
+    kind 1 is a natural number, 2 an identifier and 3 any other character,
+    and the empty end tokens lie at the bottom."""
+    matches = _TOKEN.finditer(text)
+    return [(m.lastindex, m[m.lastindex], m.start(m.lastindex)) for m in matches][::-1]
 
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def take(self, char):
-        if self.peek() == char:
-            self.pos += 1
-            return True
-        return False
+def _take(toks, char):
+    """Pop the top token if it is the character `char`."""
+    if toks[-1][1] == char:
+        toks.pop()
+        return True
+    return False
 
-    def expect_nat(self):
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise PolynomialSyntaxError("expected a number", start)
-        return int(self.text[start:self.pos]), start
 
-    def expect_ident(self):
-        self.skip_ws()
-        start = self.pos
-        if self.pos >= len(self.text) or not (
-            self.text[self.pos].isalpha()
-        ):
-            raise PolynomialSyntaxError("expected a variable name", start)
-        self.pos += 1
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        return self.text[start:self.pos], start
+def _expect(toks, kind, what):
+    """Pop the top token and return its text and offset if it is of `kind`."""
+    if toks[-1][0] != kind:
+        raise PolynomialSyntaxError(f"expected {what}", toks[-1][2])
+    return toks.pop()[1:]
 
 
 def parse_polynomial(text, variables):
@@ -70,57 +54,46 @@ def parse_polynomial(text, variables):
     """
     variables = list(variables)
     index = {name: i for i, name in enumerate(variables)}
-    sc = _Scanner(text)
-    terms = []
-    sign = -1 if sc.take("-") else 1
-    while True:
-        terms.append(_parse_term(sc, index, len(variables), sign))
-        sc.skip_ws()
-        if sc.take("+"):
-            sign = 1
-        elif sc.take("-"):
-            sign = -1
-        else:
-            break
-    sc.skip_ws()
-    if sc.pos != len(sc.text):
-        raise PolynomialSyntaxError("unexpected trailing input", sc.pos)
+    toks = _tokens(text)
+    sign = -1 if _take(toks, "-") else 1
+    terms = [_parse_term(toks, index, len(variables), sign)]
+    while toks[-1][1] in ("+", "-"):
+        sign = 1 if toks.pop()[1] == "+" else -1
+        terms.append(_parse_term(toks, index, len(variables), sign))
+    if toks[-1][1]:
+        raise PolynomialSyntaxError("unexpected trailing input", toks[-1][2])
     return make_polynomial(terms)
 
 
-def _parse_term(sc, index, nvars, sign):
+def _parse_term(toks, index, nvars, sign):
     coeff = Fraction(sign)
     exps = [0] * nvars
-    ch = sc.peek()
-    if ch.isdigit():
-        num, _ = sc.expect_nat()
-        coeff *= num
-        if sc.take("/"):
-            den, off = sc.expect_nat()
-            if den == 0:
+    kind, _, offset = toks[-1]
+    if kind == _NAT:
+        coeff *= int(_expect(toks, _NAT, "a number")[0])
+        if _take(toks, "/"):
+            den, off = _expect(toks, _NAT, "a number")
+            if int(den) == 0:
                 raise PolynomialSyntaxError("zero denominator", off)
-            coeff /= den
-        sc.skip_ws()
-        if not sc.take("*"):
+            coeff /= int(den)
+        if not _take(toks, "*"):
             return (coeff, tuple(exps))
-    elif not ch.isalpha():
-        raise PolynomialSyntaxError("expected a term", sc.pos)
+    elif kind != _IDENT:
+        raise PolynomialSyntaxError("expected a term", offset)
     while True:
-        name, off = sc.expect_ident()
+        name, off = _expect(toks, _IDENT, "a variable name")
         if name not in index:
             raise UnknownVariable(name, off)
         e = 1
-        if sc.take("^"):
-            e, eoff = sc.expect_nat()
-            if e > MAX_EXPONENT:
-                raise ExponentOverflow(f"exponent {e} exceeds {MAX_EXPONENT}")
+        if _take(toks, "^"):
+            # decided on the digits, so no exponent is too long for int()
+            digits = _expect(toks, _NAT, "a number")[0].lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise ExponentOverflow(f"exponent {digits} exceeds {MAX_EXPONENT}")
+            e = int(digits)
         exps[index[name]] += e
-        sc.skip_ws()
-        if not sc.take("*"):
+        if not _take(toks, "*"):
             break
-        if sc.peek().isdigit():
-            # coefficients are only allowed up front; a digit here is an error
-            raise PolynomialSyntaxError("expected a variable name", sc.pos)
     if any(e > MAX_EXPONENT for e in exps):
         raise ExponentOverflow("accumulated exponent exceeds the cap")
     return (coeff, tuple(exps))

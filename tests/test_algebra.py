@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bbcells import algebra, lattice
 from bbcells.errors import (
@@ -251,6 +252,36 @@ class TestGradedDimensionWeight:
             algebra.stabilization_check(q, N1, (3, 5), 2)
 
 
+def free12(*gens):
+    return algebra.MonomialQuotient(weighting(("x", (1,)), ("y", (2,))), gens)
+
+
+# library calls given entries that are not exact integers, or exponent
+# tuples of the wrong length, with the error each must raise
+NOT_EXACT = {
+    "float_exponent": (lambda: free12((1.9, 0)), ValueError),
+    "bool_exponent": (lambda: free12((0, True)), ValueError),
+    "negative_exponent": (lambda: free12((-1, 0)), ValueError),
+    "short_monomial": (lambda: free12((1,)), RankMismatch),
+    "long_monomial": (lambda: free12((1, 0, 0)), RankMismatch),
+    "float_weight": (lambda: weighting(("x", (1.5,))), ValueError),
+    "bool_weight": (lambda: weighting(("x", (True,))), ValueError),
+    "float_graded_weight": (
+        lambda: algebra.graded_dimension(free12(), N1, (2.0,)), ValueError
+    ),
+    "bool_stabilize_weight": (
+        lambda: algebra.stabilization_check(free12(), N1, (True,), 2), ValueError
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_EXACT))
+def test_library_rejects_entries_that_are_not_exact(case):
+    call, error = NOT_EXACT[case]
+    with pytest.raises(error):
+        call()
+
+
 class TestAlgebraize:
     def test_free_algebra(self):
         q = algebra.MonomialQuotient(weighting(("x", (1,)), ("y", (2,))), ())
@@ -420,3 +451,22 @@ class TestMinimalGenerators:
         w = weighting(("x", (1,)), ("y", (1,)))
         q = algebra.MonomialQuotient(w, ((1, 0), (2, 1)))
         assert q.minimal_generators == ((1, 0),)
+
+
+@st.composite
+def presentations_over_pointed_monoids(draw):
+    """A random presentation of tests/conftest.py and a random pointed monoid
+    of its torus rank."""
+    rng = draw(st.randoms(use_true_random=False))
+    pres = random_homogeneous_presentation(rng)
+    monoid = random_pointed_monoid(rng, max_rank=pres.weighting.torus_rank)
+    assume(monoid.rank == pres.weighting.torus_rank)
+    return pres, monoid
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(presentations_over_pointed_monoids())
+def test_bb_plus_is_idempotent(drawn):
+    pres, monoid = drawn
+    plus = algebra.bb_plus(pres, monoid)
+    assert algebra.bb_plus(plus, monoid) == plus

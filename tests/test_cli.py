@@ -161,6 +161,18 @@ class TestErrorPaths:
             assert captured.out == ""
             assert captured.err.startswith("error[non-generic-weight]: ")
 
+    @pytest.mark.parametrize("flows", [["1,1", "1,3"], ["1,3", "1,1"]])
+    def test_intersect_rejects_non_generic_weight(self, flows, capsys):
+        argv = ["hilb", "intersect", "-d", "2", "-w", flows[0], "-w", flows[1]]
+        for mode in ([], ["--json"]):
+            assert main(argv + mode) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "error[non-generic-weight]: weight (1, 1) pairs to zero with "
+                "tangent weight (-1, 1) at partition (2,)\n"
+            )
+
     @pytest.mark.parametrize("command", ["cells", "poincare"])
     def test_at_most_one_weight(self, command, capsys):
         assert main(["hilb", command, "-d", "2", "-w", "1,3", "-w", "1,1"]) == 1
@@ -272,6 +284,24 @@ def _run_on_document(tmp_path, group, doc):
     if group == "monoid":
         return main(["monoid", "analyze", "-i", str(path), "--json"])
     return main(["algebra", "fixed", "-i", str(path), "--json"])
+
+
+# relations that algebra fixed rejects, with the exact stderr it prints
+BAD_RELATIONS = {
+    "x^2 +": "error[syntax-error]: expected a term (at byte 5)\n",
+    "x*w": "error[unknown-variable]: unknown variable 'w' (at byte 2)\n",
+    "x^\uff13 - \uff13": "error[syntax-error]: expected a number (at byte 2)\n",
+}
+
+
+@pytest.mark.parametrize("relation", sorted(BAD_RELATIONS))
+def test_relation_errors_are_pinned(relation, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(dict(FIXED_GOOD, relations=[relation])))
+    for mode in ([], ["--json"]):
+        assert main(["algebra", "fixed", "-i", str(path)] + mode) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", BAD_RELATIONS[relation])
 
 
 class TestStrictInputs:

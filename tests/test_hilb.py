@@ -157,10 +157,15 @@ class TestCellDimension:
                     generic = all(w[0] * a + w[1] * b != 0 for a, b in char(p))
                     assert hilb.is_generic(ideal, w) == generic
                     if generic:
-                        assert hilb.cell(ideal, w) == hilb.cell_dimension(ideal, w)
+                        # independent count on the linear-algebra character
+                        linalg = hilb.tangent_character_linalg(ideal)
+                        dim = sum(
+                            m for (a, b), m in linalg.items() if w[0] * a + w[1] * b > 0
+                        )
+                        assert hilb.cell_dimension(ideal, w) == dim
                         continue
                     with pytest.raises(NonGenericWeight) as err:
-                        hilb.cell(ideal, w)
+                        hilb.cell_dimension(ideal, w)
                     assert err.value.partition == p
                     assert err.value.weight == w
                     t = err.value.tangent_weight
@@ -182,6 +187,14 @@ class TestIntersectionDimension:
     def test_single_box_positive_weights(self):
         ideal = hilb.ideal_from_partition((1,))
         assert hilb.intersection_dimension(ideal, (2, 5), (4, 1)) == 2
+
+    def test_non_generic_flow_rejected(self):
+        ideal = hilb.ideal_from_partition((2,))
+        for flows in [((1, 1), (1, 3)), ((1, 3), (1, 1))]:
+            with pytest.raises(NonGenericWeight) as err:
+                hilb.intersection_dimension(ideal, *flows)
+            assert err.value.weight == (1, 1)
+            assert err.value.tangent_weight == (-1, 1)
 
     def test_bounded_by_cells(self):
         for p in hilb.partitions(6):

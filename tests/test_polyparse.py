@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bbcells.algebra import make_polynomial
 from bbcells.errors import (
@@ -46,6 +47,20 @@ class TestParse:
         p = parse_polynomial("a_1^3", ["a_1"])
         assert p.terms == ((Fraction(1), (3,)),)
 
+    @pytest.mark.parametrize("spaced,plain", [
+        ("x ^ 2", "x^2"),
+        ("1 / 2 * x", "1/2*x"),
+        ("- x", "-x"),
+        (" \tx * y ^ 2\n-\r3 / 4 * z\f+ 7 \v", "x*y^2 - 3/4*z + 7"),
+    ])
+    def test_whitespace_between_every_pair_of_tokens(self, spaced, plain):
+        assert parse_polynomial(spaced, XYZ) == parse_polynomial(plain, XYZ)
+
+    def test_leading_zeros_in_exponent(self):
+        assert parse_polynomial("x^007", XYZ) == parse_polynomial("x^7", XYZ)
+        long_zeros = "x^" + "0" * 5000 + "7"
+        assert parse_polynomial(long_zeros, XYZ) == parse_polynomial("x^7", XYZ)
+
 
 class TestParseErrors:
     def test_unknown_variable_with_name(self):
@@ -71,9 +86,37 @@ class TestParseErrors:
         with pytest.raises(ExponentOverflow):
             parse_polynomial("x^2147483648", XYZ)
 
+    def test_exponent_at_the_cap(self):
+        p = parse_polynomial("x^02147483647", XYZ)
+        assert p.terms == ((Fraction(1), (2**31 - 1, 0, 0)),)
+
+    def test_exponent_too_long_for_int(self):
+        # more digits than int() accepts from a string by default
+        with pytest.raises(ExponentOverflow):
+            parse_polynomial("x^" + "9" * 5000, XYZ)
+
     def test_coefficient_after_star(self):
         with pytest.raises(PolynomialSyntaxError):
             parse_polynomial("x*2", XYZ)
+
+
+class TestNonAscii:
+    # only ASCII digits, letters and whitespace are read; any other character
+    # is a syntax error at its own offset, which is then a byte offset
+    @pytest.mark.parametrize("text,message,offset", [
+        ("x^\uff13", "expected a number", 2),
+        ("\uff13*x", "expected a term", 0),
+        ("x^\u00b2", "expected a number", 2),
+        ("x +\u3000y", "expected a term", 3),
+        ("x\u00a0+ y", "unexpected trailing input", 1),
+        ("\u00e9", "expected a term", 0),
+        ("x*\u00e9", "expected a variable name", 2),
+    ])
+    def test_rejected_with_offset(self, text, message, offset):
+        with pytest.raises(PolynomialSyntaxError) as err:
+            parse_polynomial(text, XYZ + ["\u00e9"])
+        assert str(err.value) == f"{message} (at byte {offset})"
+        assert err.value.offset == offset
 
 
 class TestRoundTrip:
@@ -99,3 +142,17 @@ class TestRoundTrip:
             once = print_polynomial(p, XYZ)
             again = print_polynomial(parse_polynomial(once, XYZ), XYZ)
             assert once == again
+
+
+NAMES = ["x", "y", "a_1", "Z2"]
+TERMS = st.tuples(
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    st.tuples(*[st.integers(0, 4)] * len(NAMES)),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.lists(TERMS, max_size=5))
+def test_printed_polynomial_parses_back(terms):
+    poly = make_polynomial(terms)
+    assert parse_polynomial(print_polynomial(poly, NAMES), NAMES) == poly
