@@ -74,11 +74,17 @@ class GradedPolynomial:
 
 
 def make_polynomial(terms):
-    """Canonical GradedPolynomial from an arbitrary (coeff, exponents) list."""
+    """Canonical GradedPolynomial from (coeff, exponents) pairs: an int or
+    Fraction coefficient and non-negative int exponents, else ValueError."""
     merged = {}
     for coeff, exps in terms:
-        exps = tuple(int(e) for e in exps)
-        merged[exps] = merged.get(exps, Fraction(0)) + Fraction(coeff)
+        if type(coeff) is not int and not isinstance(coeff, Fraction):
+            raise ValueError(f"coefficient {coeff!r} is not an int or a Fraction")
+        lattice.require_integers(exps, "exponent")
+        if min(exps, default=0) < 0:
+            raise ValueError(f"exponents {tuple(exps)} include a negative entry")
+        exps = tuple(exps)
+        merged[exps] = merged.get(exps, Fraction(0)) + coeff
     out = [(c, e) for e, c in merged.items() if c != 0]
     out.sort(key=lambda t: t[1], reverse=True)
     return GradedPolynomial(terms=tuple(out))

@@ -1,4 +1,5 @@
-"""Exact integer linear algebra: Hermite/Smith normal forms and lattice kernels.
+"""Exact integer linear algebra: Hermite/Smith normal forms and lattice kernels,
+and fraction-free (Bareiss) determinants, rank and signed maximal minors.
 
 All matrices are lists of lists of Python ints (arbitrary precision).
 Row convention: a matrix with r rows and c columns maps Z^c -> Z^r.
@@ -17,23 +18,14 @@ def mat_vec(a, v):
 
 def primitive(v):
     """Divide an integer vector by the gcd of its entries (zero vector unchanged)."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    if g == 0:
-        return list(v)
-    return [x // g for x in v]
+    g = gcd(*v)
+    return [x // g for x in v] if g else list(v)
 
 
 def sign_normalized(v):
     """Primitive vector scaled so the first nonzero entry is positive."""
     w = primitive(v)
-    for x in w:
-        if x != 0:
-            if x < 0:
-                w = [-y for y in w]
-            break
-    return w
+    return [-x for x in w] if next((x for x in w if x), 0) < 0 else w
 
 
 def row_hermite(mat):
@@ -87,22 +79,53 @@ def kernel_basis(mat):
     """
     if not mat:
         return []
-    cols = len(mat[0])
-    transpose = [[mat[i][j] for i in range(len(mat))] for j in range(cols)]
-    h, u = row_hermite(transpose)
-    basis = []
-    for i in range(cols):
-        if all(x == 0 for x in h[i]):
-            basis.append(sign_normalized(u[i]))
-    return basis
+    h, u = row_hermite([list(col) for col in zip(*mat)])
+    return [sign_normalized(w) for w, row in zip(u, h) if not any(row)]
+
+
+def _bareiss(mat):
+    """Fraction-free Gauss-Jordan elimination (Bareiss, 1968), leaving mat as
+    it is: (rows, pivot columns, last pivot or 1).  Entries stay minors, so
+    each division is exact; a swap negates the row it moves up, which keeps
+    the minors' signs.  The pivot block ends as `last` times the identity."""
+    rows = list(mat)  # rows are replaced, never changed in place
+    last, pivots = 1, []
+    for col in range(len(rows[0]) if rows else 0):
+        k = len(pivots)
+        i0 = next((i for i in range(k, len(rows)) if rows[i][col]), None)
+        if i0 is None:
+            continue
+        if i0 != k:
+            rows[i0], rows[k] = rows[k], [-x for x in rows[i0]]
+        top = rows[k]
+        rows = [row if row is top else [(top[col] * a - row[col] * b) // last
+                                        for a, b in zip(row, top)] for row in rows]
+        last = top[col]
+        pivots.append(col)
+    return rows, pivots, last
 
 
 def rank_of(mat):
     """Rank over Q (equals rank over Z)."""
-    if not mat:
-        return 0
-    h, _ = row_hermite(mat)
-    return sum(1 for row in h if any(x != 0 for x in row))
+    return len(_bareiss(mat)[1])
+
+
+def determinant(mat):
+    """Determinant of a square integer matrix; 1 for the empty matrix."""
+    _, pivots, last = _bareiss(mat)
+    return last if len(pivots) == len(mat) else 0
+
+
+def signed_minors(mat, dim):
+    """Generalized cross product of a (dim-1) x dim matrix: entry j is (-1)^j
+    times the minor without column j.  Zero iff the rank is below dim - 1."""
+    rows, pivots, last = _bareiss(mat)
+    if len(pivots) < len(mat):
+        return [0] * dim
+    f = dim * (dim - 1) // 2 - sum(pivots)  # the one column outside them
+    v = [row[f] for row in rows]
+    v.insert(f, -last)
+    return v if f % 2 else [-x for x in v]
 
 
 def smith(mat):
@@ -115,23 +138,19 @@ def smith(mat):
     v = identity(cols)
 
     def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
+        for m in (s, u):
+            m[i], m[j] = m[j], m[i]
 
     def swap_cols(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
+        for row in s + v:
             row[i], row[j] = row[j], row[i]
 
     def add_row(i, j, q):  # row_i -= q * row_j
-        s[i] = [a - q * b for a, b in zip(s[i], s[j])]
-        u[i] = [a - q * b for a, b in zip(u[i], u[j])]
+        for m in (s, u):
+            m[i] = [a - q * b for a, b in zip(m[i], m[j])]
 
     def add_col(i, j, q):  # col_i -= q * col_j
-        for row in s:
-            row[i] -= q * row[j]
-        for row in v:
+        for row in s + v:
             row[i] -= q * row[j]
 
     t = 0

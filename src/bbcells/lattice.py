@@ -7,6 +7,7 @@ queries are answered in the saturation cone(S) intersected with Z^n.
 
 from dataclasses import dataclass
 from itertools import count
+from operator import mul
 
 from . import intlinalg, polyhedra
 from .errors import MonoidHasUnits, RankMismatch
@@ -43,13 +44,9 @@ class LatticeProjection:
 def _build(generators, rank):
     gens = tuple(tuple(g) for g in generators)
     normals = tuple(polyhedra.cone_inequalities(gens, rank))
-    if normals:
-        lineality = intlinalg.kernel_basis([list(a) for a in normals])
-    elif rank > 0:
-        # no constraints: the cone is all of Q^rank
-        lineality = intlinalg.identity(rank)
-    else:
-        lineality = []
+    # with no constraints the cone is all of Q^rank
+    lineality = (intlinalg.kernel_basis([list(a) for a in normals]) if normals
+                 else intlinalg.identity(rank))
     return AffineMonoid(
         rank=rank,
         generators=gens,
@@ -89,10 +86,7 @@ def contains(monoid, m):
         raise RankMismatch(
             f"vector has length {len(m)}, monoid has rank {monoid.rank}"
         )
-    return all(
-        sum(a * x for a, x in zip(normal, m)) >= 0
-        for normal in monoid.facet_normals
-    )
+    return all(sum(map(mul, normal, m)) >= 0 for normal in monoid.facet_normals)
 
 
 def units(monoid):

@@ -1,12 +1,14 @@
 """Facet normals of rational polyhedral cones, and exact feasibility tests.
 
-`cone_inequalities` builds facets directly from generator subsets.  The
-Fourier-Motzkin primitives are kept as the exact feasibility reference:
+`cone_inequalities` takes each facet normal as the primitive signed-minor
+vector of a generator subset and the span equations.  The Fourier-Motzkin
+primitives are kept as the exact feasibility reference:
 a constraint is (coeffs, strict), coeffs . x >= 0, or > 0 when strict, with
 coefficients cleared back to primitive integer vectors after each step.
 """
 
 from itertools import combinations
+from operator import mul
 
 from . import intlinalg
 from .intlinalg import primitive
@@ -61,32 +63,26 @@ def implies(constraints, target, dim):
     return not is_feasible(system, dim)
 
 
-def _kernel(rows, dim):
-    return intlinalg.kernel_basis(rows) if rows else intlinalg.identity(dim)
-
-
 def cone_inequalities(generators, dim):
     """Irredundant inequality description of cone(generators) in Q^dim.
 
     Returns primitive integer normal vectors a with a . x >= 0 on the cone:
     first the equations of the linear span as sorted opposite pairs (an HNF
     basis), then the sorted facet normals, each lying in that span.  A facet
-    normal is the one kernel vector of r-1 generators and the equations,
-    r the dimension of the span, taken when it is one-signed on the cone.
+    normal is the primitive signed-minor vector of r-1 generators and the
+    equations, r the dimension of the span, taken when it is nonzero and
+    one-signed on the cone.
     """
     gens = sorted({tuple(g) for g in generators if any(g)})
-    equations = intlinalg.row_hermite(_kernel(gens, dim))[0]
+    annihilator = intlinalg.kernel_basis(gens) if gens else intlinalg.identity(dim)
+    equations = intlinalg.row_hermite(annihilator)[0]
     r = dim - len(equations)
     normals = set()
     for subset in combinations(gens, r - 1) if r > 0 else ():
-        kernel = _kernel(list(subset) + equations, dim)
-        if len(kernel) != 1:
-            continue
-        a = kernel[0]
-        values = [sum(x * y for x, y in zip(a, g)) for g in gens]
-        if all(v >= 0 for v in values):
-            normals.add(tuple(a))
-        elif all(v <= 0 for v in values):
-            normals.add(tuple(-x for x in a))
+        a = intlinalg.signed_minors(list(subset) + equations, dim)
+        values = (sum(map(mul, a, g)) for g in gens)
+        side = next((v for v in values if v), 0)  # 0 only for a = 0: a is in the span
+        if side and all(v * side >= 0 for v in values):
+            normals.add(tuple(primitive(a if side > 0 else [-x for x in a])))
     pairs = {tuple(s * x for x in e) for e in equations for s in (1, -1)}
     return sorted(pairs) + sorted(normals)

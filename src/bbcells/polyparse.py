@@ -18,6 +18,7 @@ from .algebra import GradedPolynomial, make_polynomial
 from .errors import ExponentOverflow, PolynomialSyntaxError, UnknownVariable
 
 MAX_EXPONENT = 2**31 - 1
+MAX_DIGITS = 4300  # of a coefficient or denominator, as int() takes by default
 
 _TOKEN = re.compile(r"\s*(?:([0-9]+)|([A-Za-z]\w*)|(.?))", re.ASCII | re.DOTALL)
 _NAT, _IDENT = 1, 2
@@ -46,6 +47,14 @@ def _expect(toks, kind, what):
     return toks.pop()[1:]
 
 
+def _number(toks):
+    """Pop a natural number of at most MAX_DIGITS digits: (value, offset)."""
+    digits, offset = _expect(toks, _NAT, "a number")
+    if len(digits) > MAX_DIGITS:
+        raise PolynomialSyntaxError(f"number has more than {MAX_DIGITS} digits", offset)
+    return int(digits), offset
+
+
 def parse_polynomial(text, variables):
     """Canonical GradedPolynomial from a source string.
 
@@ -70,12 +79,12 @@ def _parse_term(toks, index, nvars, sign):
     exps = [0] * nvars
     kind, _, offset = toks[-1]
     if kind == _NAT:
-        coeff *= int(_expect(toks, _NAT, "a number")[0])
+        coeff *= _number(toks)[0]
         if _take(toks, "/"):
-            den, off = _expect(toks, _NAT, "a number")
-            if int(den) == 0:
+            den, off = _number(toks)
+            if den == 0:
                 raise PolynomialSyntaxError("zero denominator", off)
-            coeff /= int(den)
+            coeff /= den
         if not _take(toks, "*"):
             return (coeff, tuple(exps))
     elif kind != _IDENT:

@@ -6,7 +6,7 @@ from functools import lru_cache
 from itertools import combinations, count, product
 from math import lcm
 
-from bbcells import algebra, lattice, polyhedra
+from bbcells import algebra, intlinalg, lattice, polyhedra
 from bbcells.intlinalg import primitive, rank_of
 
 
@@ -129,6 +129,52 @@ def cone_member_oracle(generators, rank, m):
         ):
             return True
     return False
+
+
+def fraction_rank_det(mat):
+    """Rank of an integer matrix by Gaussian elimination over the rationals,
+    and the determinant when it is square (0 when the rank falls short)."""
+    a = [[Fraction(x) for x in row] for row in mat]
+    rank, det = 0, Fraction(1)
+    for col in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            det = -det
+        det *= a[rank][col]
+        for i in range(rank + 1, len(a)):
+            f = a[i][col] / a[rank][col]
+            a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank, det if rank == len(mat) else Fraction(0)
+
+
+def kernel_cone_inequalities(generators, dim):
+    """Facet route before signed minors, kept byte for byte as an oracle:
+    one Hermite kernel of r-1 generators and the span equations per subset,
+    taken when it is a single vector that is one-signed on the cone."""
+
+    def kernel(rows):
+        return intlinalg.kernel_basis(rows) if rows else intlinalg.identity(dim)
+
+    gens = sorted({tuple(g) for g in generators if any(g)})
+    equations = intlinalg.row_hermite(kernel(gens))[0]
+    r = dim - len(equations)
+    normals = set()
+    for subset in combinations(gens, r - 1) if r > 0 else ():
+        basis = kernel(list(subset) + equations)
+        if len(basis) != 1:
+            continue
+        a = basis[0]
+        values = [sum(x * y for x, y in zip(a, g)) for g in gens]
+        if all(v >= 0 for v in values):
+            normals.add(tuple(a))
+        elif all(v <= 0 for v in values):
+            normals.add(tuple(-x for x in a))
+    pairs = {tuple(s * x for x in e) for e in equations for s in (1, -1)}
+    return sorted(pairs) + sorted(normals)
 
 
 def fm_cone_inequalities(generators, dim):

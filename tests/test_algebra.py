@@ -272,7 +272,19 @@ NOT_EXACT = {
     "bool_stabilize_weight": (
         lambda: algebra.stabilization_check(free12(), N1, (True,), 2), ValueError
     ),
+    # make_polynomial once read these as the term (1, (1, 0)) and 1/2 * x
+    "float_term_exponent": (lambda: poly([(1, (1.9, 0))]), ValueError),
+    "float_coefficient": (lambda: poly([(0.5, (1, 0))]), ValueError),
+    "bool_coefficient": (lambda: poly([(True, (1, 0))]), ValueError),
+    "string_coefficient": (lambda: poly([("1", (1, 0))]), ValueError),
+    "bool_term_exponent": (lambda: poly([(1, (True, 0))]), ValueError),
+    "negative_term_exponent": (lambda: poly([(1, (0, -1))]), ValueError),
 }
+
+
+@pytest.mark.parametrize("coeff", [3, Fraction(3, 2)])
+def test_make_polynomial_takes_exact_coefficients(coeff):
+    assert poly([(coeff, [1, 0])]).terms == ((Fraction(coeff), (1, 0)),)
 
 
 @pytest.mark.parametrize("case", sorted(NOT_EXACT))

@@ -304,6 +304,21 @@ def test_relation_errors_are_pinned(relation, tmp_path, capsys):
         assert (captured.out, captured.err) == ("", BAD_RELATIONS[relation])
 
 
+@pytest.mark.parametrize("relation, offset", [
+    ("1" * 5000 + "*x", 0),
+    ("1/" + "1" * 5000 + "*x", 2),
+], ids=["numerator", "denominator"])
+def test_long_numbers_are_syntax_errors(relation, offset, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(dict(FIXED_GOOD, relations=[relation])))
+    for mode in ([], ["--json"]):
+        assert main(["algebra", "fixed", "-i", str(path)] + mode) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", (
+            f"error[syntax-error]: number has more than 4300 digits (at byte {offset})\n"
+        ))
+
+
 class TestStrictInputs:
     @pytest.mark.parametrize("form", sorted(REJECTED))
     def test_rejected(self, form, tmp_path, capsys):

@@ -1,7 +1,9 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from bbcells import intlinalg
-from conftest import mat_mul, solve_exact
+from conftest import fraction_rank_det, mat_mul, solve_exact
 
 
 def random_matrix(rng, rows, cols, bound=5):
@@ -94,3 +96,46 @@ def test_primitive_and_sign():
     assert intlinalg.primitive([4, -6, 2]) == [2, -3, 1]
     assert intlinalg.sign_normalized([0, -4, 6]) == [0, 2, -3]
     assert intlinalg.primitive([0, 0]) == [0, 0]
+
+
+@st.composite
+def eliminable(draw):
+    """A square or (d-1) x d matrix with d <= 6 and entries in -4..4, with d.
+    Some repeat a row up to sign, so the rank falls short, and some have a
+    zero leading entry, so the elimination swaps rows."""
+    d = draw(st.integers(1, 6))
+    n = draw(st.sampled_from([d, d - 1]))
+    row = st.lists(st.integers(-4, 4), min_size=d, max_size=d)
+    mat = draw(st.lists(row, min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        mat[0][0] = 0
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        sign = draw(st.sampled_from([1, -1]))
+        mat[j] = [sign * x for x in mat[i]]
+    return mat, d
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(eliminable())
+def test_fraction_free_elimination_matches_fraction_oracle(drawn):
+    mat, d = drawn
+    rank, det = fraction_rank_det(mat)
+    assert intlinalg.rank_of(mat) == rank
+    if len(mat) == d:
+        assert intlinalg.determinant(mat) == det
+        return
+    minors = intlinalg.signed_minors(mat, d)
+    assert minors == [
+        (-1) ** j * fraction_rank_det([r[:j] + r[j + 1:] for r in mat])[1]
+        for j in range(d)
+    ]
+    assert any(minors) == (rank == d - 1)
+    if mat and rank == d - 1:
+        (k,) = intlinalg.kernel_basis(mat)
+        assert intlinalg.primitive(minors) in (k, [-x for x in k])
+
+
+def test_determinant_of_the_empty_matrix():
+    assert intlinalg.determinant([]) == 1
+    assert intlinalg.signed_minors([], 1) == [1]

@@ -1,21 +1,24 @@
 import re
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bbcells import lattice, polyhedra
+from bbcells import intlinalg, lattice, polyhedra
 from bbcells.errors import MonoidHasUnits, RankMismatch
 from bbcells.intlinalg import rank_of
 from conftest import (
     brute_kempf_vector,
     cone_member_oracle,
     fm_cone_inequalities,
+    kernel_cone_inequalities,
     random_monoid,
     random_pointed_monoid,
     seeded,
+    solve_exact,
 )
 
 
@@ -290,6 +293,39 @@ class TestConeInequalities:
             )
             checked += 1
 
+    def test_matches_kernel_route(self):
+        """Signed minors give the facets the per-subset Hermite kernels gave,
+        on cones of rank 1..5 with proper spans and zero or repeated
+        generators."""
+        rng = seeded(108)
+        seen = {"lower": 0, "zero": 0, "repeat": 0}
+        for _ in range(300):
+            rank = rng.randint(1, 5)
+            # each coordinate free, zero, or a signed copy of an earlier one
+            kinds = ["free"] * 3 + ["zero"]
+            links = [rng.choice(kinds + [(j, s) for j in range(i) for s in (1, -1)])
+                     for i in range(rank)]
+            gens = []
+            for _ in range(rng.randint(1, 7)):
+                g = []
+                for link in links:
+                    if link == "free":
+                        g.append(rng.randint(-3, 3))
+                    else:
+                        g.append(0 if link == "zero" else link[1] * g[link[0]])
+                gens.append(tuple(g))
+            if rng.random() < 0.3:
+                gens.append((0,) * rank)
+            if rng.random() < 0.3:
+                gens.append(rng.choice(gens))
+            seen["lower"] += rank_of([list(g) for g in gens]) < rank
+            seen["zero"] += (0,) * rank in gens
+            seen["repeat"] += len(set(gens)) < len(gens)
+            assert polyhedra.cone_inequalities(gens, rank) == kernel_cone_inequalities(
+                gens, rank
+            )
+        assert min(seen.values()) >= 30
+
     @pytest.mark.parametrize("name", sorted(HARD_CONES))
     def test_hard_cone(self, name):
         gens = HARD_CONES[name]
@@ -386,3 +422,39 @@ def test_kempf_vector_property(m):
     smaller = max(abs(x) for x in w) - 1
     for v in product(range(-smaller, smaller + 1), repeat=m.rank):
         assert not all(dot(v, g) >= 1 for g in gens)
+
+
+@st.composite
+def monoids_with_units(draw):
+    """A monoid of rank <= 4 with entries in -3..3 that has units: its
+    generators include a nonzero vector and its negative."""
+    rank = draw(st.integers(1, 4))
+    vector = st.tuples(*[st.integers(-3, 3)] * rank)
+    unit = draw(vector.filter(any))
+    gens = draw(st.lists(vector, max_size=5)) + [unit, tuple(-x for x in unit)]
+    return lattice.cone_from_generators(gens, rank)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(monoids_with_units())
+def test_reduce_to_zero_property(m):
+    p = lattice.reduce_to_zero(m)
+    rows = [list(row) for row in p.matrix]
+    units = lattice.units(m)
+    assert units and len(units) == m.rank - p.target_rank
+    # the kernel of the matrix is the unit lattice: it holds every unit, and
+    # each kernel basis vector is an integer combination of the units
+    assert all(not any(intlinalg.mat_vec(rows, u)) for u in units)
+    kernel = intlinalg.kernel_basis(rows) if rows else intlinalg.identity(m.rank)
+    assert len(kernel) == len(units)
+    columns = [[u[i] for u in units] for i in range(m.rank)]
+    for k in kernel:
+        coeffs = solve_exact(columns, k)
+        assert coeffs is not None and all(c.denominator == 1 for c in coeffs)
+    assert lattice.has_zero(p.image_monoid)
+    # the matrix extends to a unimodular one: its maximal minors have gcd 1
+    minors = [
+        intlinalg.determinant([[row[c] for c in cols] for row in rows])
+        for cols in combinations(range(m.rank), p.target_rank)
+    ]
+    assert gcd(*minors) == 1

@@ -95,6 +95,21 @@ class TestParseErrors:
         with pytest.raises(ExponentOverflow):
             parse_polynomial("x^" + "9" * 5000, XYZ)
 
+    @pytest.mark.parametrize("text, offset", [
+        ("1" * 5000 + "*x", 0),
+        ("1/" + "1" * 5000 + "*x", 2),
+    ], ids=["numerator", "denominator"])
+    def test_number_too_long_for_int(self, text, offset):
+        # decided on the digits: int() would raise a bare ValueError here
+        with pytest.raises(PolynomialSyntaxError) as err:
+            parse_polynomial(text, XYZ)
+        assert err.value.offset == offset
+        assert str(err.value) == f"number has more than 4300 digits (at byte {offset})"
+
+    def test_number_at_the_digit_limit(self):
+        p = parse_polynomial("1/" + "9" * 4300 + "*x", XYZ)
+        assert p.terms == ((Fraction(1, 10**4300 - 1), (1, 0, 0)),)
+
     def test_coefficient_after_star(self):
         with pytest.raises(PolynomialSyntaxError):
             parse_polynomial("x*2", XYZ)
