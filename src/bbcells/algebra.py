@@ -121,9 +121,6 @@ class MonomialQuotient:
         gens = minimalize_monomials(self.minimal_generators)
         object.__setattr__(self, "minimal_generators", gens)
 
-    def is_standard(self, exps):
-        return not any(_divides(g, exps) for g in self.minimal_generators)
-
 
 def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
@@ -304,11 +301,11 @@ def _pairing(a, b):
 
 
 def _standard_monomials(quotient, monoid, budget, kempf=None):
-    """Weight and cost of every standard monomial of cost at most budget.
+    """Weight and J-order of every standard monomial of cost at most budget.
 
     Each nonzero-weight variable costs 1, so the cost is the J-order, or its
-    Kempf degree when a Kempf vector is given.  Zero-weight variables cost
-    nothing and stay below their pure-power bounds.
+    Kempf degree when a Kempf vector is given, which is at least the J-order.
+    Zero-weight variables cost nothing and stay below their pure-power bounds.
     """
     zero_idx, pos_idx = _split_variables(quotient, monoid)
     bounds = _zero_weight_bounds(quotient, zero_idx)
@@ -324,9 +321,9 @@ def _standard_monomials(quotient, monoid, budget, kempf=None):
             for exps, cost in level
             for e in range(bounds[i] if i in bounds else (budget - cost) // c + 1)
         ]
-    for exps, cost in level:
-        if quotient.is_standard(exps):
-            yield weight_of(exps, w), cost
+    for exps, _ in level:
+        if not any(_divides(g, exps) for g in quotient.minimal_generators):
+            yield weight_of(exps, w), sum(exps[i] for i in pos_idx)
 
 
 def truncate(quotient, monoid, n):
@@ -344,53 +341,49 @@ def truncate(quotient, monoid, n):
     return dict(Counter(w for w, _ in _standard_monomials(quotient, monoid, n)))
 
 
-def graded_dimension(quotient, monoid, weight):
-    """dim A_weight of the full quotient, by direct standard-monomial count.
-
-    Finite because every nonzero-weight variable has positive pairing with
-    the Kempf vector, bounding exponents by the Kempf degree of the weight.
-    """
+def _weight_orders(quotient, monoid, weight):
+    """The checked weight, its Kempf degree n_lambda (0 when negative) and the
+    J-orders of its standard monomials, all of Kempf degree n_lambda."""
     kempf = lattice.kempf_vector(monoid).w
-    return _graded_dimension(quotient, monoid, kempf, _checked_weight(weight, monoid))
-
-
-def _checked_weight(weight, monoid):
     weight = tuple(weight)
     if len(weight) != monoid.rank:
         raise RankMismatch(
             f"weight has length {len(weight)}, monoid has rank {monoid.rank}"
         )
     lattice.require_integers(weight, "weight")
-    return weight
+    n_lambda = max(_pairing(kempf, weight), 0)
+    monomials = _standard_monomials(quotient, monoid, n_lambda, kempf)
+    return weight, n_lambda, [order for w, order in monomials if w == weight]
 
 
-def _graded_dimension(quotient, monoid, kempf, weight):
-    monomials = _standard_monomials(quotient, monoid, _pairing(kempf, weight), kempf)
-    return sum(1 for w, _ in monomials if w == weight)
+def graded_dimension(quotient, monoid, weight):
+    """dim A_weight of the full quotient, by direct standard-monomial count.
+
+    Finite because every nonzero-weight variable has positive pairing with
+    the Kempf vector, bounding exponents by the Kempf degree of the weight.
+    """
+    return len(_weight_orders(quotient, monoid, weight)[2])
 
 
 def stabilization_check(quotient, monoid, weight, n_max):
     """Dimension sequence of truncations in one weight, with its stability bound.
 
     For a torus the isotypic component of a weight is the single character, so
-    the bound is its Kempf degree n_lambda = <kempf vector, weight>.
+    the bound is its Kempf degree n_lambda = <kempf vector, weight>.  The
+    dimension at level n counts the monomials of the weight of J-order <= n.
     """
-    kempf = lattice.kempf_vector(monoid).w
-    weight = _checked_weight(weight, monoid)
-    n_lambda = max(_pairing(kempf, weight), 0)
+    weight, n_lambda, orders = _weight_orders(quotient, monoid, weight)
     by_order = [0] * (n_max + 1)
-    for w, order in _standard_monomials(quotient, monoid, n_max):
-        if w == weight:
+    for order in orders:
+        if order <= n_max:
             by_order[order] += 1
     dims = tuple(accumulate(by_order))
-    tail = dims[min(n_lambda, n_max):]
-    stable = all(d == tail[0] for d in tail) if tail else True
     return StabilizationReport(
         weight=weight,
         n_lambda=n_lambda,
         dimensions=dims,
-        stable=stable,
-        limit_dimension=_graded_dimension(quotient, monoid, kempf, weight),
+        stable=len(set(dims[n_lambda:])) <= 1,
+        limit_dimension=len(orders),
     )
 
 
@@ -400,14 +393,7 @@ def algebraize_check(quotient, monoid, weight_bound):
     kempf = lattice.kempf_vector(monoid).w
     if weight_bound < 0:
         raise ValueError("weight bound must be nonnegative")
-    # a monomial's J-order is at most its Kempf degree, so the truncation at
-    # level weight_bound realizes every weight of Kempf degree <= weight_bound
-    truncated = {}
-    for w, order in _standard_monomials(quotient, monoid, weight_bound):
-        degree = _pairing(kempf, w)
-        if degree <= weight_bound:
-            truncated[w] = truncated.get(w, 0) + int(order <= degree)
-    full = Counter(
-        w for w, _ in _standard_monomials(quotient, monoid, weight_bound, kempf)
-    )
-    return all(full[w] == count for w, count in truncated.items())
+    # the truncation at n_lambda keeps as many monomials of a weight as the
+    # full quotient exactly when none of them has J-order above n_lambda
+    monomials = _standard_monomials(quotient, monoid, weight_bound, kempf)
+    return all(order <= _pairing(kempf, w) for w, order in monomials)

@@ -25,12 +25,19 @@ def _vec(v):
     return [_s(x) for x in v]
 
 
+def _decimal(text):
+    """int() of a _DECIMAL string: the one digit cap on every integer read."""
+    if len(text.lstrip("-")) > polyparse.MAX_DIGITS:
+        raise ValueError(f"integer has more than {polyparse.MAX_DIGITS} digits")
+    return int(text)
+
+
 def _parse_int(raw):
     """A JSON integer (not a boolean) or a decimal-integer string."""
     if isinstance(raw, int) and not isinstance(raw, bool):
         return raw
     if isinstance(raw, str) and _DECIMAL.fullmatch(raw):
-        return int(raw)
+        return _decimal(raw)
     raise ValueError(f"expected an integer or a decimal-integer string, got {raw!r}")
 
 
@@ -47,7 +54,7 @@ def _parse_int_vector(raw):
 
 def _load_json(path):
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_int=_decimal)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     return doc
@@ -126,7 +133,10 @@ def _flag_ints(count=None):
             raise argparse.ArgumentTypeError(
                 f"expected {shape.get(count, 'comma-separated integers')}"
             )
-        values = tuple(int(p) for p in parts)
+        try:
+            values = tuple(map(_decimal, parts))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(exc) from None
         return values[0] if count == 1 else values
 
     return parse
@@ -394,22 +404,29 @@ PARSER = build_parser()
 
 
 def main(argv=None):
-    args = PARSER.parse_args(argv)
-    handler = _TABLE[args.group, args.command][2]
+    # every integer read is capped at MAX_DIGITS digits, so the interpreter's
+    # limit on int/str conversion is lifted: computed integers print in full
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        payload, lines = handler(args)
-    except DomainError as exc:
-        sys.stderr.write(f"error[{exc.code}]: {exc}\n")
-        return 1
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error[missing-file]: {exc}\n")
-        return 1
-    except (OSError, KeyError, ValueError) as exc:
-        sys.stderr.write(f"error[bad-input]: {exc}\n")
-        return 1
-    text = json.dumps(payload, indent=2) if args.json else "\n".join(lines)
-    sys.stdout.write(text + "\n")
-    return 0
+        args = PARSER.parse_args(argv)
+        handler = _TABLE[args.group, args.command][2]
+        try:
+            payload, lines = handler(args)
+        except DomainError as exc:
+            sys.stderr.write(f"error[{exc.code}]: {exc}\n")
+            return 1
+        except FileNotFoundError as exc:
+            sys.stderr.write(f"error[missing-file]: {exc}\n")
+            return 1
+        except (OSError, KeyError, ValueError) as exc:
+            sys.stderr.write(f"error[bad-input]: {exc}\n")
+            return 1
+        text = json.dumps(payload, indent=2) if args.json else "\n".join(lines)
+        sys.stdout.write(text + "\n")
+        return 0
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
 """Exact integer linear algebra: Hermite/Smith normal forms and lattice kernels,
-and fraction-free (Bareiss) determinants, rank and signed maximal minors.
+and fraction-free (Bareiss) rank and signed maximal minors.
 
 All matrices are lists of lists of Python ints (arbitrary precision).
 Row convention: a matrix with r rows and c columns maps Z^c -> Z^r.
@@ -108,12 +108,6 @@ def _bareiss(mat):
 def rank_of(mat):
     """Rank over Q (equals rank over Z)."""
     return len(_bareiss(mat)[1])
-
-
-def determinant(mat):
-    """Determinant of a square integer matrix; 1 for the empty matrix."""
-    _, pivots, last = _bareiss(mat)
-    return last if len(pivots) == len(mat) else 0
 
 
 def signed_minors(mat, dim):

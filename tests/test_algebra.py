@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -229,6 +230,19 @@ class TestStabilization:
         assert report.stable
         assert report.limit_dimension == 2
 
+    def test_work_does_not_grow_with_the_level(self):
+        # a pass bounded by J-order took 84.8 s (2 shared vCPUs, Python 3.11.7)
+        # on this case, whose answer has 7 monomials
+        q = algebra.MonomialQuotient(
+            weighting(("x", (1,)), ("y", (2,)), ("z", (3,))), ()
+        )
+        start = time.perf_counter()
+        report = algebra.stabilization_check(q, N1, (6,), 400)
+        assert time.perf_counter() - start < 1.0
+        assert report.dimensions == (0, 0, 1, 3, 5, 6) + (7,) * 395
+        assert report.stable
+        assert report.limit_dimension == 7
+
     def test_level_zero(self):
         q = algebra.MonomialQuotient(weighting(("x", (1,)), ("y", (2,))), ())
         assert algebra.stabilization_check(q, N1, (0,), 0).dimensions == (1,)
@@ -440,13 +454,16 @@ class TestCountingOracle:
                     sum(1 for w, order in monomials if w == weight and order <= n)
                     for n in range(self.LEVEL + 1)
                 )
-                report = algebra.stabilization_check(
-                    quotient, monoid, weight, self.LEVEL
-                )
-                assert report.n_lambda == degree
-                assert report.dimensions == dims
-                assert report.stable == (len(set(dims[degree:])) == 1)
-                assert report.limit_dimension == full
+                # levels below n_lambda as well as the stable range
+                for n_max in range(self.LEVEL + 1):
+                    report = algebra.stabilization_check(
+                        quotient, monoid, weight, n_max
+                    )
+                    assert report.n_lambda == degree
+                    assert report.dimensions == dims[:n_max + 1]
+                    tail = dims[min(degree, n_max):n_max + 1]
+                    assert report.stable == (len(set(tail)) == 1)
+                    assert report.limit_dimension == full
                 checked += 1
             assert algebra.algebraize_check(quotient, monoid, self.LEVEL)
         assert checked > 50

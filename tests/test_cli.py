@@ -1,11 +1,14 @@
+import ast
 import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 
-from bbcells import cli
+from bbcells import algebra, cli, lattice
 from bbcells.cli import main
 
 HERE = os.path.dirname(__file__)
@@ -212,6 +215,18 @@ def test_integer_flags_are_plain_decimals(flag, value, capsys):
     assert "error: argument " in captured.err
 
 
+@pytest.mark.parametrize("flag", sorted(INTEGER_FLAGS))
+def test_integer_flags_have_a_digit_limit(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(INTEGER_FLAGS[flag]("1" * 5000))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # the project's message, without an echo of the 5000 digits
+    assert captured.err.endswith("integer has more than 4300 digits\n")
+    assert len(captured.err) < 500
+
+
 def test_module_entry_point_matches_golden():
     root = os.path.dirname(HERE)
     env = dict(os.environ)
@@ -317,6 +332,95 @@ def test_long_numbers_are_syntax_errors(relation, offset, tmp_path, capsys):
         assert (captured.out, captured.err) == ("", (
             f"error[syntax-error]: number has more than 4300 digits (at byte {offset})\n"
         ))
+
+
+@contextmanager
+def exact_int_strings():
+    """Lift the interpreter's limit on int/str conversion inside the block."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["hilb", "fixed-points", "-d", "2"], 0),
+    (["hilb", "cells", "-d", "2", "-w", "1,1"], 1),
+    (["hilb", "cells", "-d", "x"], 2),
+])
+def test_main_restores_the_conversion_limit(argv, code, capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        try:
+            assert main(argv) == code
+        except SystemExit as exc:
+            assert exc.code == code
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("digits, code", [(4300, 0), (4301, 1), (5000, 1)])
+@pytest.mark.parametrize("form", ["literal", "string"])
+def test_json_integers_have_a_digit_limit(form, digits, code, tmp_path, capsys):
+    entry = "1" * digits if form == "literal" else f'"{"1" * digits}"'
+    path = tmp_path / "input.json"
+    path.write_text('{"rank": 1, "generators": [[' + entry + "]]}")
+    assert main(["monoid", "analyze", "-i", str(path), "--json"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert (captured.out, captured.err) == (
+            "", "error[bad-input]: integer has more than 4300 digits\n"
+        )
+    else:
+        assert json.loads(captured.out)["generators"] == [["1" * digits]]
+
+
+def test_long_computed_coefficients_print_exactly(tmp_path, capsys):
+    # each number is within the parser's limit; the merged, monic coefficient
+    # of y is 7 * (10^4300 - 1) / 16, whose numerator has 4301 digits
+    relation = "1/" + "9" * 4300 + "*x + 1/" + "7" * 4300 + "*x + y"
+    doc = {"torus_rank": 1, "relations": [relation],
+           "variables": [{"name": "x", "weight": [0]}, {"name": "y", "weight": [0]}]}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    (rel,) = algebra.fixed_locus(cli.load_presentation(str(path))).relations
+    with exact_int_strings():
+        assert rel.terms[1][0] == Fraction(7 * (10**4300 - 1), 16)
+        assert len(str(rel.terms[1][0].numerator)) == 4301
+    for mode in ([], ["--json"]):
+        assert main(["algebra", "fixed", "-i", str(path)] + mode) == 0
+        out = capsys.readouterr().out
+        printed = json.loads(out)["relations"][0] if mode else out.split("\n")[-2]
+        lead, tail = printed.strip().split(" + ")
+        assert lead == "x" and tail.endswith("*y")
+        with exact_int_strings():
+            assert Fraction(tail[:-2]) == rel.terms[1][0]
+
+
+def test_long_facet_normals_print_exactly(tmp_path, capsys):
+    big = 10**2500 + 1
+    gens = [(big, 1, 0), (0, big, 1), (1, 0, big)]
+    monoid = lattice.cone_from_generators(gens, 3)
+    with exact_int_strings():
+        assert max(len(str(x)) for a in monoid.facet_normals for x in a) > 4300
+    path = tmp_path / "input.json"
+    doc = {"rank": 3, "generators": [list(map(str, g)) for g in gens]}
+    path.write_text(json.dumps(doc))
+    assert main(["monoid", "analyze", "-i", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert main(["monoid", "analyze", "-i", str(path)]) == 0
+    table = dict(line.split(":", 1) for line in capsys.readouterr().out.splitlines())
+    with exact_int_strings():
+        normals = [tuple(map(int, a)) for a in payload["facet_normals"]]
+        assert tuple(normals) == monoid.facet_normals
+        assert ast.literal_eval(table["facet normals"].strip()) == list(
+            map(list, monoid.facet_normals)
+        )
+    assert payload["kempf_vector"] == list(map(str, lattice.kempf_vector(monoid).w))
 
 
 class TestStrictInputs:

@@ -120,10 +120,9 @@ def eliminable(draw):
 @given(eliminable())
 def test_fraction_free_elimination_matches_fraction_oracle(drawn):
     mat, d = drawn
-    rank, det = fraction_rank_det(mat)
+    rank = fraction_rank_det(mat)[0]
     assert intlinalg.rank_of(mat) == rank
     if len(mat) == d:
-        assert intlinalg.determinant(mat) == det
         return
     minors = intlinalg.signed_minors(mat, d)
     assert minors == [
@@ -136,6 +135,6 @@ def test_fraction_free_elimination_matches_fraction_oracle(drawn):
         assert intlinalg.primitive(minors) in (k, [-x for x in k])
 
 
-def test_determinant_of_the_empty_matrix():
-    assert intlinalg.determinant([]) == 1
+def test_signed_minors_of_the_empty_matrix():
+    assert intlinalg.rank_of([]) == 0
     assert intlinalg.signed_minors([], 1) == [1]

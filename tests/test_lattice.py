@@ -14,6 +14,7 @@ from conftest import (
     brute_kempf_vector,
     cone_member_oracle,
     fm_cone_inequalities,
+    fraction_rank_det,
     kernel_cone_inequalities,
     random_monoid,
     random_pointed_monoid,
@@ -454,7 +455,7 @@ def test_reduce_to_zero_property(m):
     assert lattice.has_zero(p.image_monoid)
     # the matrix extends to a unimodular one: its maximal minors have gcd 1
     minors = [
-        intlinalg.determinant([[row[c] for c in cols] for row in rows])
+        int(fraction_rank_det([[row[c] for c in cols] for row in rows])[1])
         for cols in combinations(range(m.rank), p.target_rank)
     ]
     assert gcd(*minors) == 1
