@@ -54,7 +54,10 @@ def _parse_int_vector(raw):
 
 def _load_json(path):
     with open(path) as fh:
-        doc = json.load(fh, parse_int=_decimal)
+        try:
+            doc = json.load(fh, parse_int=_decimal)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON document is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     return doc

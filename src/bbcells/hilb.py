@@ -4,7 +4,8 @@ Torus-fixed points are monomial ideals, indexed by partitions via their
 staircases.  The bigraded tangent character at a fixed point is computed
 two independent ways: degreewise linear algebra on homomorphisms out of the
 ideal, and the arm/leg combinatorics of the Young diagram.  Cell and
-cell-intersection dimensions are half-space counts on that character.
+cell-intersection dimensions are half-space counts on that character; the
+histogram of cell dimensions is a closed form in partition counts.
 
 Convention: the box diagram of a partition (p_1 >= p_2 >= ...) has row j
 (the exponent of y) of length p_{j+1}; the single-box partition has tangent
@@ -146,12 +147,6 @@ def _hom_dimension(partition, gens, delta):
     return len(live) - intlinalg.rank_of(rows)
 
 
-def is_generic(ideal, w):
-    """Whether no tangent weight at this ideal pairs to zero with w."""
-    character = tangent_character_armleg(ideal)
-    return all(w[0] * t1 + w[1] * t2 != 0 for t1, t2 in character)
-
-
 def cell_dimension(ideal, w):
     """Dimension of the cell at this fixed point for the one-parameter flow w;
     raises NonGenericWeight if w pairs to zero with some tangent weight."""
@@ -182,13 +177,65 @@ def default_generic_weight(d):
     return (1, d + 1)
 
 
+# The tangent weights over all colength-d ideals are exactly (l+1, -a) and
+# (-l, a+1) for the pairs (a, l) with a + l + 1 <= d.  The hook of a box with
+# arm a and leg l holds a + l + 1 of the d boxes.  Conversely, with
+# r = d - a - l - 1, each such pair is the (arm, leg) of a box (column, row)
+# of a partition of d:
+#   (a+1, 1^l), box (0, 0), when r = 0;
+#   (r, a+1, 1^l), box (0, 1), when r >= a+1;
+#   the transpose of (r, l+1, 1^a), box (1, 0), when r >= l+1;
+#   (a+1, r+1, 1^(l-1)), box (0, 0), otherwise, where 1 <= r <= min(a, l).
+# So a weight that is not generic at d always has a witness partition.
+def is_generic(d, w):
+    """Whether w pairs to zero with no tangent weight at any ideal of
+    colength d."""
+    w1, w2 = w
+    return all(
+        (l + 1) * w1 != a * w2 and l * w1 != (a + 1) * w2
+        for a in range(d)
+        for l in range(d - a)
+    )
+
+
+def _counts_by_parts(d):
+    """[p(d, k) for k = 0..d], the numbers of partitions of d with exactly k
+    parts, by p(n, k) = p(n-1, k-1) + p(n-k, k), one column k at a time."""
+    column = [1] + [0] * d  # p(n, 0)
+    counts = [column[d]]
+    for k in range(1, d + 1):
+        nxt = [0] * (d + 1)
+        for n in range(k, d + 1):
+            nxt[n] = column[n - 1] + nxt[n - k]
+        column = nxt
+        counts.append(column[d])
+    return counts
+
+
 def poincare_histogram(d, w):
     """Histogram {cell dimension: number of fixed points} over partitions of d.
 
-    Raises NonGenericWeight if w pairs to zero with some tangent weight.
+    It depends only on the sign chamber of a generic w.  When both
+    coordinates are positive, the cells of dimension d + k are as many as
+    the partitions of d with exactly k parts, p(d, k) (Ellingsrud-Stromme,
+    Invent. Math. 1987).  When both are negative, the dimension is 2d minus
+    the one for -w, so d - k.  With mixed signs, one of the two tangent
+    weights of each box pairs positively: every cell has dimension d.
+
+    Raises NonGenericWeight if w pairs to zero with some tangent weight,
+    naming the first witness in partitions(d) order.
     """
-    counts = {}
-    for partition in partitions(d):
-        dim = cell_dimension(ideal_from_partition(partition), w)
-        counts[dim] = counts.get(dim, 0) + 1
-    return dict(sorted(counts.items()))
+    if d < 0:
+        raise ValueError("d must be nonnegative")
+    if not is_generic(d, w):
+        # some partition is a witness (see is_generic); the first one raises
+        for partition in partitions(d):
+            cell_dimension(ideal_from_partition(partition), w)
+    counts = _counts_by_parts(d)
+    if w[0] > 0 and w[1] > 0:
+        rows = [(d + k, counts[k]) for k in range(d + 1)]
+    elif w[0] < 0 and w[1] < 0:
+        rows = [(d - k, counts[k]) for k in range(d, -1, -1)]
+    else:
+        rows = [(d, sum(counts))]
+    return {dim: n for dim, n in rows if n}

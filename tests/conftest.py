@@ -6,7 +6,7 @@ from functools import lru_cache
 from itertools import combinations, count, product
 from math import lcm
 
-from bbcells import algebra, intlinalg, lattice, polyhedra
+from bbcells import algebra, hilb, intlinalg, lattice, polyhedra
 from bbcells.intlinalg import primitive, rank_of
 
 
@@ -214,6 +214,23 @@ def fm_cone_inequalities(generators, dim):
                 changed = True
                 break
     return kept
+
+
+def ideal_is_generic(ideal, w):
+    """Whether no tangent weight at this ideal pairs to zero with w."""
+    character = hilb.tangent_character_armleg(ideal)
+    return all(w[0] * t1 + w[1] * t2 != 0 for t1, t2 in character)
+
+
+def enumerated_poincare_histogram(d, w):
+    """Poincare histogram by enumeration, kept as the oracle of the closed
+    form: the cell dimension at every partition of d, in partitions(d)
+    order, so a weight that is not generic raises at the first witness."""
+    counts = {}
+    for partition in hilb.partitions(d):
+        dim = hilb.cell_dimension(hilb.ideal_from_partition(partition), w)
+        counts[dim] = counts.get(dim, 0) + 1
+    return dict(sorted(counts.items()))
 
 
 def random_weighting(rng, rank, n_vars, names=None, weight_pool=None):

@@ -176,6 +176,28 @@ class TestErrorPaths:
                 "tangent weight (-1, 1) at partition (2,)\n"
             )
 
+    # the error names the first partition of d, in `hilb fixed-points` order,
+    # that has a tangent weight pairing to zero with w
+    @pytest.mark.parametrize("flags, message", [
+        (["-d", "2", "-w", "1,1"],
+         "weight (1, 1) pairs to zero with tangent weight (-1, 1) at partition (2,)"),
+        (["-d", "5", "-w=0,3"],
+         "weight (0, 3) pairs to zero with tangent weight (5, 0) at partition (5,)"),
+        (["-d", "6", "-w=3,2"],
+         "weight (3, 2) pairs to zero with tangent weight (-2, 3) "
+         "at partition (3, 2, 1)"),
+        (["-d", "6", "-w=-4,-2"],
+         "weight (-4, -2) pairs to zero with tangent weight (-1, 2) "
+         "at partition (3, 3)"),
+    ])
+    def test_poincare_non_generic_error_is_pinned(self, flags, message, capsys):
+        for mode in ([], ["--json"]):
+            assert main(["hilb", "poincare", *flags, *mode]) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (
+                "", f"error[non-generic-weight]: {message}\n"
+            )
+
     @pytest.mark.parametrize("command", ["cells", "poincare"])
     def test_at_most_one_weight(self, command, capsys):
         assert main(["hilb", command, "-d", "2", "-w", "1,3", "-w", "1,1"]) == 1
@@ -191,6 +213,18 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err.startswith("error[bad-input]: ")
         assert str(tmp_path) in captured.err
+
+    def test_deeply_nested_document_is_bad_input(self, tmp_path, capsys):
+        # deeper than the interpreter's recursion limit for json.load
+        depth = 100_000
+        path = tmp_path / "input.json"
+        path.write_text('{"rank": 1, "generators": ' + "[" * depth + "]" * depth + "}")
+        for mode in ([], ["--json"]):
+            assert main(["monoid", "analyze", "-i", str(path), *mode]) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (
+                "", f"error[bad-input]: {path}: JSON document is nested too deeply\n"
+            )
 
 
 QUOT_ARGS = ["-i", data("quot_free12.json"), "-m", data("monoid_n.json")]

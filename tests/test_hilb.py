@@ -1,7 +1,11 @@
+import random
+import time
+
 import pytest
 
 from bbcells import hilb
 from bbcells.errors import NonGenericWeight
+from conftest import enumerated_poincare_histogram, ideal_is_generic
 
 
 def char(partition):
@@ -151,11 +155,16 @@ class TestCellDimension:
     def test_cell_reads_dimension_and_genericity(self):
         # (1, 1) pairs to zero with tangent weights such as (1, -1)
         for d in range(1, 7):
+            for w in [(1, d + 1), (1, 1), (2, -1), (0, 1), (-2, -3)]:
+                assert hilb.is_generic(d, w) == all(
+                    ideal_is_generic(hilb.ideal_from_partition(p), w)
+                    for p in hilb.partitions(d)
+                )
             for p in hilb.partitions(d):
                 ideal = hilb.ideal_from_partition(p)
                 for w in [(1, d + 1), (1, 1), (2, -1), (0, 1)]:
                     generic = all(w[0] * a + w[1] * b != 0 for a, b in char(p))
-                    assert hilb.is_generic(ideal, w) == generic
+                    assert ideal_is_generic(ideal, w) == generic
                     if generic:
                         # independent count on the linear-algebra character
                         linalg = hilb.tangent_character_linalg(ideal)
@@ -235,7 +244,50 @@ class TestPoincare:
             assert hilb.poincare_histogram(d, hilb.default_generic_weight(d)) == expected
 
     def test_default_weight_is_generic(self):
-        for d in range(1, 9):
-            w = hilb.default_generic_weight(d)
-            for p in hilb.partitions(d):
-                assert hilb.is_generic(hilb.ideal_from_partition(p), w)
+        for d in range(1, 41):
+            assert hilb.is_generic(d, hilb.default_generic_weight(d))
+
+    @pytest.mark.parametrize("d", range(19))
+    def test_closed_form_matches_enumeration(self, d):
+        for w in poincare_weights(random.Random(d), d):
+            assert poincare_outcome(hilb.poincare_histogram, d, w) == (
+                poincare_outcome(enumerated_poincare_histogram, d, w)
+            ), w
+
+    def test_closed_form_matches_enumeration_at_thirty(self):
+        rng = random.Random(30)
+        for s1, s2 in CHAMBERS:
+            w = (s1 * rng.randint(1, 9), s2 * rng.randint(31, 99))
+            assert hilb.is_generic(30, w)
+            assert poincare_outcome(hilb.poincare_histogram, 30, w) == (
+                poincare_outcome(enumerated_poincare_histogram, 30, w)
+            ), w
+
+    def test_large_d_needs_no_enumeration(self):
+        # enumerating the p(200) partitions would not finish
+        start = time.perf_counter()
+        histogram = hilb.poincare_histogram(200, (1, 201))
+        assert time.perf_counter() - start < 1.0
+        assert list(histogram) == list(range(201, 401))
+        assert sum(histogram.values()) == 3_972_999_029_388
+
+
+CHAMBERS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+
+
+def poincare_weights(rng, d):
+    """Three weights in each sign chamber, then weights with a zero entry or
+    same-sign entries summing to at most d, which are not generic at d >= 2."""
+    for s1, s2 in CHAMBERS:
+        drawn = rng.randint(1, 2 * d + 2), rng.randint(1, 2 * d + 2)
+        for w1, w2 in [(1, d + 1), (d + 1, 1), drawn]:
+            yield s1 * w1, s2 * w2
+    yield from [(0, 0), (0, 1), (-3, 0), (1, 1), (-1, -1), (2, 4), (-1, 1 - d)]
+
+
+def poincare_outcome(histogram, d, w):
+    """The histogram's items in key order, or the error's type and text."""
+    try:
+        return list(histogram(d, w).items())
+    except NonGenericWeight as exc:
+        return type(exc), str(exc)
