@@ -19,7 +19,6 @@ from . import lattice
 from .errors import (
     InfiniteDimension,
     InhomogeneousError,
-    MonoidHasUnits,
     NotMinimalPresentation,
     RankMismatch,
     WeightOutsideMonoid,
@@ -49,10 +48,6 @@ class VariableWeighting:
     @property
     def names(self):
         return [name for name, _ in self.variables]
-
-    @property
-    def weights(self):
-        return [weight for _, weight in self.variables]
 
 
 @dataclass(frozen=True)
@@ -214,10 +209,7 @@ def bb_plus(presentation, monoid):
     is closed under addition), so every outsider monomial has an outsider
     variable as a divisor.
     """
-    if not lattice.has_zero(monoid):
-        raise MonoidHasUnits(
-            "monoid has nontrivial units; apply reduce_to_zero first"
-        )
+    lattice.require_zero(monoid)
     for rel in presentation.relations:
         check_homogeneous(rel, presentation.weighting)
     return _substitute_zero(presentation, set(outsider_variables(presentation, monoid)))
@@ -241,10 +233,7 @@ def open_immersion_check(presentation, monoid):
     the irrelevant ideal), so the variable weights read off the cotangent
     space there; the check is that none of them is outsider.
     """
-    if not lattice.has_zero(monoid):
-        raise MonoidHasUnits(
-            "monoid has nontrivial units; apply reduce_to_zero first"
-        )
+    lattice.require_zero(monoid)
     for rel in presentation.relations:
         check_homogeneous(rel, presentation.weighting)
         for _, exps in rel.terms:
@@ -332,10 +321,7 @@ def truncate(quotient, monoid, n):
 
     Returns {weight: dimension} over all weights realized at this level.
     """
-    if not lattice.has_zero(monoid):
-        raise MonoidHasUnits(
-            "monoid has nontrivial units; apply reduce_to_zero first"
-        )
+    lattice.require_zero(monoid)
     if n < 0:
         raise ValueError("truncation level must be nonnegative")
     return dict(Counter(w for w, _ in _standard_monomials(quotient, monoid, n)))

@@ -1,15 +1,17 @@
 """Command-line surface: `bbcells <group> <command>`, one entry per
 subcommand in the command table `_TABLE`.
 
-All integers in JSON payloads are decimal strings, so arbitrary-precision
-values survive any JSON reader.  Identical inputs give byte-identical
-outputs.  Exit codes: 0 success, 1 domain error, 2 usage error.
+Handlers return library values and `_encode` alone turns every integer into
+a decimal string, so arbitrary-precision values survive any JSON reader.
+Identical inputs give byte-identical outputs.  Exit codes: 0 success,
+1 domain error, 2 usage error.
 """
 
 import argparse
 import json
 import re
 import sys
+from dataclasses import asdict, is_dataclass
 
 from . import algebra, hilb, lattice, polyparse
 from .errors import DomainError
@@ -17,12 +19,19 @@ from .errors import DomainError
 _DECIMAL = re.compile(r"-?[0-9]+")
 
 
-def _s(x):
-    return str(int(x))
-
-
-def _vec(v):
-    return [_s(x) for x in v]
+def _encode(value):
+    """The JSON form of a handler's value: dataclasses become objects in field
+    order, tuples become lists, and every int that is not a bool becomes a
+    decimal string.  None, bools and strings pass through."""
+    if is_dataclass(value):
+        value = asdict(value)
+    if isinstance(value, dict):
+        return {key: _encode(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    return value
 
 
 def _decimal(text):
@@ -102,28 +111,6 @@ def load_quotient(path):
     return algebra.MonomialQuotient(weighting=weighting, minimal_generators=tuple(gens))
 
 
-def monoid_payload(monoid):
-    return {
-        "rank": _s(monoid.rank),
-        "generators": [_vec(g) for g in monoid.generators],
-        "facet_normals": [_vec(a) for a in monoid.facet_normals],
-        "lineality_basis": [_vec(v) for v in monoid.lineality_basis],
-    }
-
-
-def presentation_payload(presentation):
-    w = presentation.weighting
-    return {
-        "torus_rank": _s(w.torus_rank),
-        "variables": [
-            {"name": name, "weight": _vec(weight)} for name, weight in w.variables
-        ],
-        "relations": [
-            polyparse.print_polynomial(rel, w.names) for rel in presentation.relations
-        ],
-    }
-
-
 def _flag_ints(count=None):
     """argparse type for comma-separated plain decimal integers, the rule
     _parse_int applies to JSON strings: exactly `count` of them if given, as
@@ -175,7 +162,8 @@ _GROUPS = {
 }
 
 # (group, command) -> (help text, option keys in order, handler); a handler
-# takes the parsed arguments and returns (JSON payload, text-table lines)
+# takes the parsed arguments and returns (library value for _encode,
+# text-table lines)
 _TABLE = {}
 
 
@@ -193,10 +181,8 @@ def _monoid_analyze(args):
     monoid = load_monoid(args.input)
     zero = lattice.has_zero(monoid)
     kempf = lattice.kempf_vector(monoid).w if zero else None
-    payload = monoid_payload(monoid)
-    payload["units"] = [_vec(v) for v in lattice.units(monoid)]
-    payload["has_zero"] = zero
-    payload["kempf_vector"] = _vec(kempf) if kempf is not None else None
+    payload = dict(asdict(monoid), units=lattice.units(monoid), has_zero=zero,
+                   kempf_vector=kempf)
     lines = [
         f"rank:          {monoid.rank}",
         f"facet normals: {list(map(list, monoid.facet_normals))}",
@@ -209,27 +195,26 @@ def _monoid_analyze(args):
 
 @_command("monoid", "reduce", "project away the unit lattice", "monoid-input", "json")
 def _monoid_reduce(args):
-    monoid = load_monoid(args.input)
-    proj = lattice.reduce_to_zero(monoid)
-    payload = {
-        "source_rank": _s(proj.source_rank),
-        "target_rank": _s(proj.target_rank),
-        "matrix": [_vec(row) for row in proj.matrix],
-        "image_monoid": monoid_payload(proj.image_monoid),
-    }
+    proj = lattice.reduce_to_zero(load_monoid(args.input))
     lines = [
         f"projection:   {list(map(list, proj.matrix))}",
         f"target rank:  {proj.target_rank}",
         f"image gens:   {list(map(list, proj.image_monoid.generators))}",
     ]
-    return payload, lines
+    return proj, lines
 
 
 def _presentation_output(pres):
-    payload = presentation_payload(pres)
-    variables = pres.weighting.variables
+    weighting = pres.weighting
+    variables = weighting.variables
+    relations = [polyparse.print_polynomial(r, weighting.names) for r in pres.relations]
+    payload = {
+        "torus_rank": weighting.torus_rank,
+        "variables": [{"name": name, "weight": w} for name, w in variables],
+        "relations": relations,
+    }
     lines = ["variables:"] + [f"  {name}  weight {list(w)}" for name, w in variables]
-    lines += ["relations:"] + [f"  {rel}" for rel in payload["relations"] or ["(none)"]]
+    lines += ["relations:"] + [f"  {rel}" for rel in relations or ["(none)"]]
     return payload, lines
 
 
@@ -252,12 +237,11 @@ def _algebra_check(args):
     monoid = load_monoid(args.monoid)
     ok = algebra.open_immersion_check(pres, monoid)
     outsiders = algebra.outsider_variables(pres, monoid)
-    payload = {"open_immersion": ok, "outsider_variables": outsiders}
     lines = [
         f"open immersion at the origin: {ok}",
         f"outsider variables:           {outsiders or '-'}",
     ]
-    return payload, lines
+    return {"open_immersion": ok, "outsider_variables": outsiders}, lines
 
 
 @_command("algebra", "truncate", "graded dimensions of a truncation",
@@ -266,11 +250,10 @@ def _algebra_truncate(args):
     quotient = load_quotient(args.input)
     monoid = load_monoid(args.monoid)
     dims = sorted(algebra.truncate(quotient, monoid, args.n).items())
-    rows = [{"weight": _vec(w), "dimension": _s(dim)} for w, dim in dims]
-    payload = {"level": _s(args.n), "rows": rows}
+    rows = [{"weight": w, "dimension": dim} for w, dim in dims]
     lines = [f"truncation level {args.n}", "weight -> dimension"]
     lines += [f"  {list(w)} -> {dim}" for w, dim in dims]
-    return payload, lines
+    return {"level": args.n, "rows": rows}, lines
 
 
 @_command("algebra", "stabilize", "dimension sequence in one weight",
@@ -279,13 +262,6 @@ def _algebra_stabilize(args):
     quotient = load_quotient(args.input)
     monoid = load_monoid(args.monoid)
     report = algebra.stabilization_check(quotient, monoid, args.w, args.n)
-    payload = {
-        "weight": _vec(report.weight),
-        "n_lambda": _s(report.n_lambda),
-        "dimensions": [_s(d) for d in report.dimensions],
-        "stable": report.stable,
-        "limit_dimension": _s(report.limit_dimension),
-    }
     lines = [
         f"weight:          {list(report.weight)}",
         f"n_lambda:        {report.n_lambda}",
@@ -293,7 +269,7 @@ def _algebra_stabilize(args):
         f"stable:          {report.stable}",
         f"limit dimension: {report.limit_dimension}",
     ]
-    return payload, lines
+    return report, lines
 
 
 @_command("algebra", "algebraize", "compare truncations with the full algebra",
@@ -302,21 +278,16 @@ def _algebra_algebraize(args):
     quotient = load_quotient(args.input)
     monoid = load_monoid(args.monoid)
     ok = algebra.algebraize_check(quotient, monoid, args.bound)
-    payload = {"bound": _s(args.bound), "algebraizes": ok}
+    payload = {"bound": args.bound, "algebraizes": ok}
     return payload, [f"algebraizes up to Kempf degree {args.bound}: {ok}"]
 
 
 @_command("hilb", "fixed-points", "partitions indexing monomial ideals", "d", "json")
 def _hilb_fixed_points(args):
     parts = hilb.partitions(args.d)
-    payload = {
-        "d": _s(args.d),
-        "partitions": [_vec(p) for p in parts],
-        "count": _s(len(parts)),
-    }
     lines = [f"monomial ideals for d = {args.d}: {len(parts)}"]
     lines += [f"  {list(p)}" for p in parts]
-    return payload, lines
+    return {"d": args.d, "partitions": parts, "count": len(parts)}, lines
 
 
 @_command("hilb", "tangent", "bigraded tangent characters at every fixed point",
@@ -327,10 +298,10 @@ def _hilb_tangent(args):
     for partition in hilb.partitions(args.d):
         ideal = hilb.ideal_from_partition(partition)
         entries = sorted(hilb.tangent_character_linalg(ideal).items())
-        character = [[_s(w1), _s(w2), _s(mult)] for (w1, w2), mult in entries]
-        records.append({"partition": _vec(partition), "character": character})
+        character = [[w1, w2, mult] for (w1, w2), mult in entries]
+        records.append({"partition": partition, "character": character})
         lines.append(f"  {list(partition)}: {entries}")
-    return {"d": _s(args.d), "tangent": records}, lines
+    return {"d": args.d, "tangent": records}, lines
 
 
 def _cell_rows(d, dimension, *flows, **extra):
@@ -338,7 +309,7 @@ def _cell_rows(d, dimension, *flows, **extra):
     cells, lines = [], []
     for partition in hilb.partitions(d):
         dim = dimension(hilb.ideal_from_partition(partition), *flows)
-        cells.append({"partition": _vec(partition), "dimension": _s(dim), **extra})
+        cells.append({"partition": partition, "dimension": dim, **extra})
         lines.append(f"  {list(partition)}: dim {dim}")
     return cells, lines
 
@@ -355,7 +326,7 @@ def _hilb_cells(args):
     w = _one_weight(args)
     # cell_dimension rejects weights that are not generic: "generic" is always true
     cells, lines = _cell_rows(args.d, hilb.cell_dimension, w, generic=True)
-    payload = {"d": _s(args.d), "weight": _vec(w), "cells": cells}
+    payload = {"d": args.d, "weight": w, "cells": cells}
     return payload, [f"cells for d = {args.d}, w = {list(w)}"] + lines
 
 
@@ -366,20 +337,18 @@ def _hilb_intersect(args):
         raise DomainError(f"{args.command} needs exactly two -w weight vectors")
     w1, w2 = args.w
     cells, lines = _cell_rows(args.d, hilb.intersection_dimension, w1, w2)
-    payload = {"d": _s(args.d), "weights": [_vec(w1), _vec(w2)], "cells": cells}
     title = f"cell intersections for d = {args.d}, w1 = {list(w1)}, w2 = {list(w2)}"
-    return payload, [title] + lines
+    return {"d": args.d, "weights": [w1, w2], "cells": cells}, [title] + lines
 
 
 @_command("hilb", "poincare", "cell-dimension histogram", "d", "flows", "json")
 def _hilb_poincare(args):
     w = _one_weight(args)
     histogram = hilb.poincare_histogram(args.d, w).items()
-    rows = [{"dimension": _s(dim), "count": _s(n)} for dim, n in histogram]
-    payload = {"d": _s(args.d), "weight": _vec(w), "histogram": rows}
+    rows = [{"dimension": dim, "count": n} for dim, n in histogram]
     lines = [f"cell-dimension histogram for d = {args.d}, w = {list(w)}"]
     lines += [f"  dim {dim}: {n} cell(s)" for dim, n in histogram]
-    return payload, lines
+    return {"d": args.d, "weight": w, "histogram": rows}, lines
 
 
 def build_parser():
@@ -422,10 +391,14 @@ def main(argv=None):
         except FileNotFoundError as exc:
             sys.stderr.write(f"error[missing-file]: {exc}\n")
             return 1
-        except (OSError, KeyError, ValueError) as exc:
+        except KeyError as exc:
+            # str() of a KeyError is the repr of the key
+            sys.stderr.write(f"error[bad-input]: missing key {exc}\n")
+            return 1
+        except (OSError, ValueError) as exc:
             sys.stderr.write(f"error[bad-input]: {exc}\n")
             return 1
-        text = json.dumps(payload, indent=2) if args.json else "\n".join(lines)
+        text = json.dumps(_encode(payload), indent=2) if args.json else "\n".join(lines)
         sys.stdout.write(text + "\n")
         return 0
     finally:

@@ -13,6 +13,7 @@ character {(1,0), (0,1)}.
 """
 
 from dataclasses import dataclass
+from math import gcd
 
 from . import intlinalg
 from .errors import NonGenericWeight
@@ -189,13 +190,16 @@ def default_generic_weight(d):
 # So a weight that is not generic at d always has a witness partition.
 def is_generic(d, w):
     """Whether w pairs to zero with no tangent weight at any ideal of
-    colength d."""
+    colength d.  For d >= 1, a = l = 0 rules out a zero entry, and mixed
+    signs solve neither (l+1) w1 = a w2 nor l w1 = (a+1) w2.  With the same
+    signs and w = g (p, q), g = gcd(w1, w2), each forces a + l + 1 = k (p + q)
+    with k >= 1, so a pair fits in d iff p + q <= d."""
     w1, w2 = w
-    return all(
-        (l + 1) * w1 != a * w2 and l * w1 != (a + 1) * w2
-        for a in range(d)
-        for l in range(d - a)
-    )
+    if d < 1:
+        return True
+    if w1 == 0 or w2 == 0:
+        return False
+    return (w1 > 0) != (w2 > 0) or (abs(w1) + abs(w2)) // gcd(w1, w2) > d
 
 
 def _counts_by_parts(d):

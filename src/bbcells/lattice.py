@@ -103,6 +103,12 @@ def has_zero(monoid):
     return not monoid.lineality_basis
 
 
+def require_zero(monoid):
+    """Raise MonoidHasUnits unless the monoid has a zero."""
+    if not has_zero(monoid):
+        raise MonoidHasUnits("monoid has nontrivial units; apply reduce_to_zero first")
+
+
 def kempf_vector(monoid):
     """The integer vector w of minimal max-norm, ties broken lexicographically,
     pairing >= 1 with every nonzero generator.
@@ -113,8 +119,7 @@ def kempf_vector(monoid):
     the bounds by every pairing at each node returns its first valid leaf,
     whose norm is n since the box of n - 1 holds no valid vector.
     """
-    if not has_zero(monoid):
-        raise MonoidHasUnits("monoid has nontrivial units; reduce_to_zero first")
+    require_zero(monoid)
     gens = [g for g in monoid.generators if any(x != 0 for x in g)]
     if not gens:
         return KempfVector(w=(0,) * monoid.rank)

@@ -222,6 +222,18 @@ def ideal_is_generic(ideal, w):
     return all(w[0] * t1 + w[1] * t2 != 0 for t1, t2 in character)
 
 
+def looped_is_generic(d, w):
+    """hilb.is_generic by its definition, kept as the oracle of the closed
+    form: w against the tangent weights (l+1, -a) and (-l, a+1) for every
+    arm a and leg l with a + l + 1 <= d, in O(d^2) steps."""
+    w1, w2 = w
+    return all(
+        (l + 1) * w1 != a * w2 and l * w1 != (a + 1) * w2
+        for a in range(d)
+        for l in range(d - a)
+    )
+
+
 def enumerated_poincare_histogram(d, w):
     """Poincare histogram by enumeration, kept as the oracle of the closed
     form: the cell dimension at every partition of d, in partitions(d)

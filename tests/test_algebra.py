@@ -120,6 +120,22 @@ class TestBBPlus:
         assert algebra.bb_plus(out, N1) == out
 
 
+def test_every_monoid_argument_needs_a_zero():
+    # lattice.require_zero is the one check behind all four; its text is pinned
+    line = lattice.cone_from_generators([(1,), (-1,)], 1)
+    quotient = algebra.MonomialQuotient(W_XY, ())
+    calls = [
+        lambda: lattice.kempf_vector(line),
+        lambda: algebra.bb_plus(P_XY, line),
+        lambda: algebra.open_immersion_check(P_XY, line),
+        lambda: algebra.truncate(quotient, line, 2),
+    ]
+    for call in calls:
+        with pytest.raises(MonoidHasUnits) as exc:
+            call()
+        assert str(exc.value) == "monoid has nontrivial units; apply reduce_to_zero first"
+
+
 class TestFixedLocus:
     def test_quadric_cone(self):
         out = algebra.fixed_locus(P_XYZ)

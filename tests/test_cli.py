@@ -214,6 +214,23 @@ class TestErrorPaths:
         assert captured.err.startswith("error[bad-input]: ")
         assert str(tmp_path) in captured.err
 
+    # one document per loader, each without one required key
+    @pytest.mark.parametrize("argv, doc, key", [
+        (["monoid", "analyze"], {"generators": [[1]]}, "rank"),
+        (["algebra", "fixed"], {"variables": []}, "torus_rank"),
+        (["algebra", "truncate", "-m", data("monoid_n.json"), "-n", "1"],
+         {"torus_rank": 1, "variables": [{"weight": [1]}]}, "name"),
+    ], ids=["monoid", "presentation", "quotient"])
+    def test_missing_key_is_named(self, argv, doc, key, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        for mode in ([], ["--json"]):
+            assert main([*argv, "-i", str(path), *mode]) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (
+                "", f"error[bad-input]: missing key '{key}'\n"
+            )
+
     def test_deeply_nested_document_is_bad_input(self, tmp_path, capsys):
         # deeper than the interpreter's recursion limit for json.load
         depth = 100_000
@@ -261,19 +278,19 @@ def test_integer_flags_have_a_digit_limit(flag, capsys):
     assert len(captured.err) < 500
 
 
-def test_module_entry_point_matches_golden():
+@pytest.mark.parametrize("name,argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_module_entry_point_matches_golden(name, argv):
     root = os.path.dirname(HERE)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(root, "src")] + [p for p in [env.get("PYTHONPATH")] if p]
     )
-    argv = ["monoid", "analyze", "-i", data("monoid_n.json"), "--json"]
     proc = subprocess.run(
         [sys.executable, "-m", "bbcells", *argv],
         cwd=root, env=env, capture_output=True, text=True, timeout=60,
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    with open(os.path.join(GOLDEN, "monoid_analyze.json")) as fh:
+    with open(os.path.join(GOLDEN, name + ".json")) as fh:
         assert proc.stdout == fh.read()
 
 

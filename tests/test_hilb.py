@@ -1,11 +1,12 @@
 import random
 import time
+from itertools import product
 
 import pytest
 
 from bbcells import hilb
 from bbcells.errors import NonGenericWeight
-from conftest import enumerated_poincare_histogram, ideal_is_generic
+from conftest import enumerated_poincare_histogram, ideal_is_generic, looped_is_generic
 
 
 def char(partition):
@@ -246,6 +247,12 @@ class TestPoincare:
     def test_default_weight_is_generic(self):
         for d in range(1, 41):
             assert hilb.is_generic(d, hilb.default_generic_weight(d))
+
+    def test_genericity_closed_form_matches_loop(self):
+        # d <= 13 and |w_i| <= 16: 15,246 cases
+        for d in range(14):
+            for w in product(range(-16, 17), repeat=2):
+                assert hilb.is_generic(d, w) == looped_is_generic(d, w), (d, w)
 
     @pytest.mark.parametrize("d", range(19))
     def test_closed_form_matches_enumeration(self, d):
