@@ -33,6 +33,8 @@ class VariableWeighting:
     variables: tuple  # tuple of (name, weight tuple)
 
     def __post_init__(self):
+        if self.torus_rank < 1:
+            raise RankMismatch("torus rank must be a positive integer")
         names = [name for name, _ in self.variables]
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")

@@ -3,8 +3,9 @@ subcommand in the command table `_TABLE`.
 
 Handlers return library values and `_encode` alone turns every integer into
 a decimal string, so arbitrary-precision values survive any JSON reader.
-Identical inputs give byte-identical outputs.  Exit codes: 0 success,
-1 domain error, 2 usage error.
+`main` prints that one encoded value, as JSON with `--json` and through
+`_text_lines` without it.  Identical inputs give byte-identical outputs.
+Exit codes: 0 success, 1 domain error, 2 usage error.
 """
 
 import argparse
@@ -32,6 +33,30 @@ def _encode(value):
     if isinstance(value, int) and not isinstance(value, bool):
         return str(value)
     return value
+
+
+def _inline(value):
+    """One line of an encoded value: strings bare, lists in brackets, objects
+    as comma-joined `key: value` fields, and true, false and null as in JSON."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_inline, value)) + "]"
+    if isinstance(value, dict):
+        return ", ".join(f"{key}: {_inline(v)}" for key, v in value.items())
+    return json.dumps(value)
+
+
+def _text_lines(obj):
+    """The text form of an encoded object: one `key: value` line per field, but
+    a nested object, or each object of a list of objects, on its own line below."""
+    for key, value in obj.items():
+        rows = [value] if isinstance(value, dict) else value
+        if rows and isinstance(rows, list) and all(isinstance(v, dict) for v in rows):
+            yield f"{key}:"
+            yield from (f"  {_inline(v)}" for v in rows)
+        else:
+            yield f"{key}: {_inline(value)}"
 
 
 def _decimal(text):
@@ -136,10 +161,8 @@ _INT = _flag_ints(1)
 
 # argparse flags, keyed by the names the command table uses
 _OPTIONS = {
-    "monoid-input": (("-i", "--input"), dict(required=True, help="monoid JSON file")),
     "input": (("-i", "--input"), dict(required=True, help="input JSON file")),
     "monoid": (("-m", "--monoid"), dict(required=True, help="monoid JSON file")),
-    "json": (("--json",), dict(action="store_true")),
     "n": (("-n",), dict(type=_INT, required=True, help="truncation level")),
     "weight": (("-w",), dict(type=_flag_ints(), required=True, help="weight a,b,...")),
     "bound": (("--bound",), dict(type=_INT, required=True, help="Kempf degree bound")),
@@ -162,8 +185,7 @@ _GROUPS = {
 }
 
 # (group, command) -> (help text, option keys in order, handler); a handler
-# takes the parsed arguments and returns (library value for _encode,
-# text-table lines)
+# takes the parsed arguments and returns a library value for _encode
 _TABLE = {}
 
 
@@ -175,143 +197,101 @@ def _command(group, name, help_text, *options):
     return register
 
 
-@_command("monoid", "analyze", "facets, units, zero criterion, Kempf vector",
-          "monoid-input", "json")
+@_command("monoid", "analyze", "facets, units, zero criterion, Kempf vector", "input")
 def _monoid_analyze(args):
     monoid = load_monoid(args.input)
     zero = lattice.has_zero(monoid)
     kempf = lattice.kempf_vector(monoid).w if zero else None
-    payload = dict(asdict(monoid), units=lattice.units(monoid), has_zero=zero,
-                   kempf_vector=kempf)
-    lines = [
-        f"rank:          {monoid.rank}",
-        f"facet normals: {list(map(list, monoid.facet_normals))}",
-        f"unit lattice:  {list(map(list, monoid.lineality_basis))}",
-        f"has zero:      {zero}",
-        f"kempf vector:  {list(kempf) if kempf is not None else '-'}",
-    ]
-    return payload, lines
+    return dict(asdict(monoid), units=lattice.units(monoid), has_zero=zero,
+                kempf_vector=kempf)
 
 
-@_command("monoid", "reduce", "project away the unit lattice", "monoid-input", "json")
+@_command("monoid", "reduce", "project away the unit lattice", "input")
 def _monoid_reduce(args):
-    proj = lattice.reduce_to_zero(load_monoid(args.input))
-    lines = [
-        f"projection:   {list(map(list, proj.matrix))}",
-        f"target rank:  {proj.target_rank}",
-        f"image gens:   {list(map(list, proj.image_monoid.generators))}",
-    ]
-    return proj, lines
+    return lattice.reduce_to_zero(load_monoid(args.input))
 
 
-def _presentation_output(pres):
+def _presentation(pres):
     weighting = pres.weighting
-    variables = weighting.variables
-    relations = [polyparse.print_polynomial(r, weighting.names) for r in pres.relations]
-    payload = {
+    return {
         "torus_rank": weighting.torus_rank,
-        "variables": [{"name": name, "weight": w} for name, w in variables],
-        "relations": relations,
+        "variables": [{"name": name, "weight": w} for name, w in weighting.variables],
+        "relations": [polyparse.print_polynomial(r, weighting.names)
+                      for r in pres.relations],
     }
-    lines = ["variables:"] + [f"  {name}  weight {list(w)}" for name, w in variables]
-    lines += ["relations:"] + [f"  {rel}" for rel in relations or ["(none)"]]
-    return payload, lines
 
 
 @_command("algebra", "bbplus", "presentation of the limit subscheme",
-          "input", "monoid", "json")
+          "input", "monoid")
 def _algebra_bbplus(args):
     pres = load_presentation(args.input)
-    return _presentation_output(algebra.bb_plus(pres, load_monoid(args.monoid)))
+    return _presentation(algebra.bb_plus(pres, load_monoid(args.monoid)))
 
 
-@_command("algebra", "fixed", "presentation of the fixed locus", "input", "json")
+@_command("algebra", "fixed", "presentation of the fixed locus", "input")
 def _algebra_fixed(args):
-    return _presentation_output(algebra.fixed_locus(load_presentation(args.input)))
+    return _presentation(algebra.fixed_locus(load_presentation(args.input)))
 
 
 @_command("algebra", "check", "open-immersion criterion at the origin",
-          "input", "monoid", "json")
+          "input", "monoid")
 def _algebra_check(args):
     pres = load_presentation(args.input)
     monoid = load_monoid(args.monoid)
-    ok = algebra.open_immersion_check(pres, monoid)
-    outsiders = algebra.outsider_variables(pres, monoid)
-    lines = [
-        f"open immersion at the origin: {ok}",
-        f"outsider variables:           {outsiders or '-'}",
-    ]
-    return {"open_immersion": ok, "outsider_variables": outsiders}, lines
+    return {"open_immersion": algebra.open_immersion_check(pres, monoid),
+            "outsider_variables": algebra.outsider_variables(pres, monoid)}
 
 
 @_command("algebra", "truncate", "graded dimensions of a truncation",
-          "input", "monoid", "json", "n")
+          "input", "monoid", "n")
 def _algebra_truncate(args):
     quotient = load_quotient(args.input)
     monoid = load_monoid(args.monoid)
     dims = sorted(algebra.truncate(quotient, monoid, args.n).items())
-    rows = [{"weight": w, "dimension": dim} for w, dim in dims]
-    lines = [f"truncation level {args.n}", "weight -> dimension"]
-    lines += [f"  {list(w)} -> {dim}" for w, dim in dims]
-    return {"level": args.n, "rows": rows}, lines
+    return {"level": args.n, "rows": [{"weight": w, "dimension": dim} for w, dim in dims]}
 
 
 @_command("algebra", "stabilize", "dimension sequence in one weight",
-          "input", "monoid", "json", "n", "weight")
+          "input", "monoid", "n", "weight")
 def _algebra_stabilize(args):
     quotient = load_quotient(args.input)
     monoid = load_monoid(args.monoid)
-    report = algebra.stabilization_check(quotient, monoid, args.w, args.n)
-    lines = [
-        f"weight:          {list(report.weight)}",
-        f"n_lambda:        {report.n_lambda}",
-        f"dimensions:      {list(report.dimensions)}",
-        f"stable:          {report.stable}",
-        f"limit dimension: {report.limit_dimension}",
-    ]
-    return report, lines
+    return algebra.stabilization_check(quotient, monoid, args.w, args.n)
 
 
 @_command("algebra", "algebraize", "compare truncations with the full algebra",
-          "input", "monoid", "json", "bound")
+          "input", "monoid", "bound")
 def _algebra_algebraize(args):
     quotient = load_quotient(args.input)
     monoid = load_monoid(args.monoid)
-    ok = algebra.algebraize_check(quotient, monoid, args.bound)
-    payload = {"bound": args.bound, "algebraizes": ok}
-    return payload, [f"algebraizes up to Kempf degree {args.bound}: {ok}"]
+    return {"bound": args.bound,
+            "algebraizes": algebra.algebraize_check(quotient, monoid, args.bound)}
 
 
-@_command("hilb", "fixed-points", "partitions indexing monomial ideals", "d", "json")
+@_command("hilb", "fixed-points", "partitions indexing monomial ideals", "d")
 def _hilb_fixed_points(args):
     parts = hilb.partitions(args.d)
-    lines = [f"monomial ideals for d = {args.d}: {len(parts)}"]
-    lines += [f"  {list(p)}" for p in parts]
-    return {"d": args.d, "partitions": parts, "count": len(parts)}, lines
+    return {"d": args.d, "partitions": parts, "count": len(parts)}
 
 
-@_command("hilb", "tangent", "bigraded tangent characters at every fixed point",
-          "d", "json")
+def _per_fixed_point(d, field, compute, *flows, **extra):
+    """One record {partition, field: compute(ideal, *flows), **extra} per
+    fixed point, in `hilb fixed-points` order."""
+    return [
+        {"partition": p, field: compute(hilb.ideal_from_partition(p), *flows), **extra}
+        for p in hilb.partitions(d)
+    ]
+
+
+def _character(ideal):
+    """The arm/leg tangent character as sorted [w1, w2, multiplicity] rows."""
+    entries = sorted(hilb.tangent_character_armleg(ideal).items())
+    return [[w1, w2, mult] for (w1, w2), mult in entries]
+
+
+@_command("hilb", "tangent", "bigraded tangent characters at every fixed point", "d")
 def _hilb_tangent(args):
-    records = []
-    lines = [f"tangent characters for d = {args.d}"]
-    for partition in hilb.partitions(args.d):
-        ideal = hilb.ideal_from_partition(partition)
-        entries = sorted(hilb.tangent_character_linalg(ideal).items())
-        character = [[w1, w2, mult] for (w1, w2), mult in entries]
-        records.append({"partition": partition, "character": character})
-        lines.append(f"  {list(partition)}: {entries}")
-    return {"d": args.d, "tangent": records}, lines
-
-
-def _cell_rows(d, dimension, *flows, **extra):
-    """JSON records and table lines of dimension(ideal, *flows) per fixed point."""
-    cells, lines = [], []
-    for partition in hilb.partitions(d):
-        dim = dimension(hilb.ideal_from_partition(partition), *flows)
-        cells.append({"partition": partition, "dimension": dim, **extra})
-        lines.append(f"  {list(partition)}: dim {dim}")
-    return cells, lines
+    return {"d": args.d, "tangent": _per_fixed_point(args.d, "character", _character)}
 
 
 def _one_weight(args):
@@ -321,38 +301,35 @@ def _one_weight(args):
     return args.w[0] if args.w else hilb.default_generic_weight(args.d)
 
 
-@_command("hilb", "cells", "cell dimensions for a weight vector", "d", "flows", "json")
+@_command("hilb", "cells", "cell dimensions for a weight vector", "d", "flows")
 def _hilb_cells(args):
     w = _one_weight(args)
     # cell_dimension rejects weights that are not generic: "generic" is always true
-    cells, lines = _cell_rows(args.d, hilb.cell_dimension, w, generic=True)
-    payload = {"d": args.d, "weight": w, "cells": cells}
-    return payload, [f"cells for d = {args.d}, w = {list(w)}"] + lines
+    cells = _per_fixed_point(args.d, "dimension", hilb.cell_dimension, w, generic=True)
+    return {"d": args.d, "weight": w, "cells": cells}
 
 
 @_command("hilb", "intersect", "cell-intersection dimensions for two weight vectors",
-          "d", "flows", "json")
+          "d", "flows")
 def _hilb_intersect(args):
     if len(args.w or []) != 2:
         raise DomainError(f"{args.command} needs exactly two -w weight vectors")
     w1, w2 = args.w
-    cells, lines = _cell_rows(args.d, hilb.intersection_dimension, w1, w2)
-    title = f"cell intersections for d = {args.d}, w1 = {list(w1)}, w2 = {list(w2)}"
-    return {"d": args.d, "weights": [w1, w2], "cells": cells}, [title] + lines
+    cells = _per_fixed_point(args.d, "dimension", hilb.intersection_dimension, w1, w2)
+    return {"d": args.d, "weights": [w1, w2], "cells": cells}
 
 
-@_command("hilb", "poincare", "cell-dimension histogram", "d", "flows", "json")
+@_command("hilb", "poincare", "cell-dimension histogram", "d", "flows")
 def _hilb_poincare(args):
     w = _one_weight(args)
     histogram = hilb.poincare_histogram(args.d, w).items()
     rows = [{"dimension": dim, "count": n} for dim, n in histogram]
-    lines = [f"cell-dimension histogram for d = {args.d}, w = {list(w)}"]
-    lines += [f"  dim {dim}: {n} cell(s)" for dim, n in histogram]
-    return {"d": args.d, "weight": w, "histogram": rows}, lines
+    return {"d": args.d, "weight": w, "histogram": rows}
 
 
 def build_parser():
-    """The argparse tree of the command table, flags in table order."""
+    """The argparse tree of the command table, flags in table order, then
+    --json on every command."""
     parser = argparse.ArgumentParser(
         prog="bbcells",
         description="Exact limit-cell computations for torus actions "
@@ -368,6 +345,7 @@ def build_parser():
         for key in options:
             flags, spec = _OPTIONS[key]
             p.add_argument(*flags, **spec)
+        p.add_argument("--json", action="store_true", help="print the value as JSON")
     return parser
 
 
@@ -384,7 +362,7 @@ def main(argv=None):
         args = PARSER.parse_args(argv)
         handler = _TABLE[args.group, args.command][2]
         try:
-            payload, lines = handler(args)
+            value = _encode(handler(args))
         except DomainError as exc:
             sys.stderr.write(f"error[{exc.code}]: {exc}\n")
             return 1
@@ -398,7 +376,7 @@ def main(argv=None):
         except (OSError, ValueError) as exc:
             sys.stderr.write(f"error[bad-input]: {exc}\n")
             return 1
-        text = json.dumps(_encode(payload), indent=2) if args.json else "\n".join(lines)
+        text = json.dumps(value, indent=2) if args.json else "\n".join(_text_lines(value))
         sys.stdout.write(text + "\n")
         return 0
     finally:

@@ -286,9 +286,11 @@ def free12(*gens):
     return algebra.MonomialQuotient(weighting(("x", (1,)), ("y", (2,))), gens)
 
 
-# library calls given entries that are not exact integers, or exponent
-# tuples of the wrong length, with the error each must raise
+# library calls given entries that are not exact integers, exponent tuples
+# of the wrong length or a torus rank below 1, with the error each must raise
 NOT_EXACT = {
+    "zero_torus_rank": (lambda: algebra.VariableWeighting(0, ()), RankMismatch),
+    "negative_torus_rank": (lambda: algebra.VariableWeighting(-5, ()), RankMismatch),
     "float_exponent": (lambda: free12((1.9, 0)), ValueError),
     "bool_exponent": (lambda: free12((0, True)), ValueError),
     "negative_exponent": (lambda: free12((-1, 0)), ValueError),

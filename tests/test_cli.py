@@ -75,12 +75,31 @@ GOLDEN_CASES = [
 ]
 
 
+def text_argv(argv):
+    """The argv of a golden case without --json: its text-mode run."""
+    return [arg for arg in argv if arg != "--json"]
+
+
+def golden(filename):
+    with open(os.path.join(GOLDEN, filename)) as fh:
+        return fh.read()
+
+
+def assert_golden(name, out, text):
+    """The JSON and text outputs of a golden case, byte for byte; the text
+    form's top-level keys are the JSON object's, in the same order."""
+    assert out == golden(name + ".json")
+    assert text == golden(name + ".txt")
+    top = [line.split(":", 1)[0] for line in text.splitlines() if not line.startswith(" ")]
+    assert top == list(json.loads(out))
+
+
 @pytest.mark.parametrize("name,argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
 def test_golden_output(name, argv, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
-    with open(os.path.join(GOLDEN, name + ".json")) as fh:
-        assert out == fh.read()
+    assert main(text_argv(argv)) == 0
+    assert_golden(name, out, capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("name,argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
@@ -112,15 +131,15 @@ def test_json_integers_are_decimal_strings(name, argv, capsys):
 class TestHumanOutput:
     def test_monoid_table(self, capsys):
         assert main(["monoid", "analyze", "-i", data("monoid_n.json")]) == 0
-        out = capsys.readouterr().out
-        assert "has zero:      True" in out
-        assert "kempf vector:  [1]" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert "has_zero: true" in lines
+        assert "kempf_vector: [1]" in lines
 
     def test_cells_table(self, capsys):
         assert main(["hilb", "cells", "-d", "2", "-w", "1,3"]) == 0
-        out = capsys.readouterr().out
-        assert "[2]: dim 4" in out
-        assert "[1, 1]: dim 3" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert "  partition: [2], dimension: 4, generic: true" in lines
+        assert "  partition: [1, 1], dimension: 3, generic: true" in lines
 
 
 class TestErrorPaths:
@@ -285,13 +304,16 @@ def test_module_entry_point_matches_golden(name, argv):
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(root, "src")] + [p for p in [env.get("PYTHONPATH")] if p]
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "bbcells", *argv],
-        cwd=root, env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert (proc.returncode, proc.stderr) == (0, "")
-    with open(os.path.join(GOLDEN, name + ".json")) as fh:
-        assert proc.stdout == fh.read()
+
+    def run(args):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bbcells", *args],
+            cwd=root, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        return proc.stdout
+
+    assert_golden(name, run(argv), run(text_argv(argv)))
 
 
 def test_parser_keeps_no_state_between_calls(monkeypatch, capsys):
@@ -301,8 +323,19 @@ def test_parser_keeps_no_state_between_calls(monkeypatch, capsys):
     capsys.readouterr()
     # no -w: the default (1, 4) for d = 3, not a weight left from the last call
     assert main(["hilb", "poincare", "-d", "3", "--json"]) == 0
-    with open(os.path.join(GOLDEN, "hilb_poincare.json")) as fh:
-        assert capsys.readouterr().out == fh.read()
+    assert capsys.readouterr().out == golden("hilb_poincare.json")
+
+
+@pytest.mark.parametrize("rank", [0, -5])
+def test_torus_rank_below_one_is_rank_mismatch(rank, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"torus_rank": rank, "variables": [], "relations": []}))
+    for mode in ([], ["--json"]):
+        assert main(["algebra", "fixed", "-i", str(path), *mode]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error[rank-mismatch]: torus rank must be a positive integer\n"
+        )
 
 
 MONOID_GOOD = {"rank": 1, "generators": [[1]]}
@@ -445,8 +478,12 @@ def test_long_computed_coefficients_print_exactly(tmp_path, capsys):
     for mode in ([], ["--json"]):
         assert main(["algebra", "fixed", "-i", str(path)] + mode) == 0
         out = capsys.readouterr().out
-        printed = json.loads(out)["relations"][0] if mode else out.split("\n")[-2]
-        lead, tail = printed.strip().split(" + ")
+        if mode:
+            printed = json.loads(out)["relations"][0]
+        else:
+            (line,) = [ln for ln in out.splitlines() if ln.startswith("relations: ")]
+            printed = line.removeprefix("relations: [").removesuffix("]")
+        lead, tail = printed.split(" + ")
         assert lead == "x" and tail.endswith("*y")
         with exact_int_strings():
             assert Fraction(tail[:-2]) == rel.terms[1][0]
@@ -468,7 +505,7 @@ def test_long_facet_normals_print_exactly(tmp_path, capsys):
     with exact_int_strings():
         normals = [tuple(map(int, a)) for a in payload["facet_normals"]]
         assert tuple(normals) == monoid.facet_normals
-        assert ast.literal_eval(table["facet normals"].strip()) == list(
+        assert ast.literal_eval(table["facet_normals"].strip()) == list(
             map(list, monoid.facet_normals)
         )
     assert payload["kempf_vector"] == list(map(str, lattice.kempf_vector(monoid).w))
