@@ -33,14 +33,13 @@ class VariableWeighting:
     variables: tuple  # tuple of (name, weight tuple)
 
     def __post_init__(self):
-        if self.torus_rank < 1:
-            raise RankMismatch("torus rank must be a positive integer")
-        names = [name for name, _ in self.variables]
-        if len(set(names)) != len(names):
+        lattice.require_rank(self.torus_rank, "torus rank")
+        for name, _ in self.variables:
+            if not isinstance(name, str) or not _IDENT.match(name):
+                raise ValueError(f"invalid variable name {name!r}")
+        if len(set(self.names)) != len(self.names):
             raise ValueError("variable names must be unique")
         for name, weight in self.variables:
-            if not _IDENT.match(name):
-                raise ValueError(f"invalid variable name {name!r}")
             if len(weight) != self.torus_rank:
                 raise RankMismatch(
                     f"weight of {name} has length {len(weight)}, expected {self.torus_rank}"
@@ -96,8 +95,14 @@ def monic(poly):
 
 @dataclass(frozen=True)
 class GradedPresentation:
+    """A weighting and its relations, each checked homogeneous here."""
+
     weighting: VariableWeighting
     relations: tuple  # tuple of GradedPolynomial
+
+    def __post_init__(self):
+        for rel in self.relations:
+            check_homogeneous(rel, self.weighting)
 
 
 @dataclass(frozen=True)
@@ -169,7 +174,8 @@ def check_homogeneous(poly, weighting):
 
 
 def outsider_variables(presentation, monoid):
-    """Variables whose weight lies outside the saturation of the monoid."""
+    """Variables whose weight lies outside the saturation of the monoid; a
+    presentation or a monomial quotient."""
     w = presentation.weighting
     if monoid.rank != w.torus_rank:
         raise RankMismatch(
@@ -212,15 +218,11 @@ def bb_plus(presentation, monoid):
     variable as a divisor.
     """
     lattice.require_zero(monoid)
-    for rel in presentation.relations:
-        check_homogeneous(rel, presentation.weighting)
     return _substitute_zero(presentation, set(outsider_variables(presentation, monoid)))
 
 
 def fixed_locus(presentation):
     """Presentation of the fixed subscheme: every nonzero-weight variable dies."""
-    for rel in presentation.relations:
-        check_homogeneous(rel, presentation.weighting)
     zero = (0,) * presentation.weighting.torus_rank
     removed = {
         name for name, weight in presentation.weighting.variables if weight != zero
@@ -236,32 +238,26 @@ def open_immersion_check(presentation, monoid):
     space there; the check is that none of them is outsider.
     """
     lattice.require_zero(monoid)
-    for rel in presentation.relations:
-        check_homogeneous(rel, presentation.weighting)
-        for _, exps in rel.terms:
-            if sum(exps) < 2:
-                raise NotMinimalPresentation(
-                    "relation has a term of degree < 2; minimize the "
-                    "presentation at the origin first"
-                )
+    if any(sum(exps) < 2 for rel in presentation.relations for _, exps in rel.terms):
+        raise NotMinimalPresentation(
+            "relation has a term of degree < 2; minimize the "
+            "presentation at the origin first"
+        )
     return not outsider_variables(presentation, monoid)
 
 
 def _split_variables(quotient, monoid):
     """Indices of zero-weight and nonzero-weight variables, with checks."""
     w = quotient.weighting
-    if monoid.rank != w.torus_rank:
-        raise RankMismatch(
-            f"monoid rank {monoid.rank} != torus rank {w.torus_rank}"
+    outside = outsider_variables(quotient, monoid)
+    if outside:
+        name = outside[0]
+        raise WeightOutsideMonoid(
+            f"variable {name} has weight {dict(w.variables)[name]} outside the monoid"
         )
     zero = (0,) * w.torus_rank
-    zero_idx, pos_idx = [], []
-    for i, (name, weight) in enumerate(w.variables):
-        if not lattice.contains(monoid, weight):
-            raise WeightOutsideMonoid(
-                f"variable {name} has weight {weight} outside the monoid"
-            )
-        (zero_idx if weight == zero else pos_idx).append(i)
+    zero_idx = [i for i, (_, weight) in enumerate(w.variables) if weight == zero]
+    pos_idx = [i for i, (_, weight) in enumerate(w.variables) if weight != zero]
     return zero_idx, pos_idx
 
 

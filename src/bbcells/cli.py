@@ -36,9 +36,10 @@ def _encode(value):
 
 
 def _inline(value):
-    """One line of an encoded value: strings bare, lists in brackets, objects
-    as comma-joined `key: value` fields, and true, false and null as in JSON."""
-    if isinstance(value, str):
+    """One line of an encoded value: strings bare unless they read as a JSON
+    literal, lists in brackets, objects as comma-joined `key: value` fields,
+    and true, false and null as in JSON."""
+    if isinstance(value, str) and value not in ("true", "false", "null"):
         return value
     if isinstance(value, list):
         return "[" + ", ".join(map(_inline, value)) + "]"
@@ -106,12 +107,11 @@ def load_monoid(path):
 
 def load_weighting(doc):
     rank = _parse_int(doc["torus_rank"])
-    variables = []
-    for var in _parse_list(doc["variables"], "variable objects", dict):
-        if not isinstance(var["name"], str):
-            raise ValueError(f"variable name must be a string, got {var['name']!r}")
-        variables.append((var["name"], _parse_int_vector(var["weight"])))
-    return algebra.VariableWeighting(torus_rank=rank, variables=tuple(variables))
+    variables = tuple(
+        (var["name"], _parse_int_vector(var["weight"]))
+        for var in _parse_list(doc["variables"], "variable objects", dict)
+    )
+    return algebra.VariableWeighting(torus_rank=rank, variables=variables)
 
 
 def load_presentation(path):

@@ -1,11 +1,13 @@
-"""Exact integer linear algebra: Hermite/Smith normal forms and lattice kernels,
-and fraction-free (Bareiss) rank and signed maximal minors.
+"""Exact integer linear algebra: the Hermite normal form, the Smith form built
+on it and lattice kernels, and fraction-free (Bareiss) rank and signed
+maximal minors.
 
 All matrices are lists of lists of Python ints (arbitrary precision).
 Row convention: a matrix with r rows and c columns maps Z^c -> Z^r.
 """
 
 from math import gcd
+from operator import mul
 
 
 def identity(n):
@@ -26,6 +28,14 @@ def sign_normalized(v):
     """Primitive vector scaled so the first nonzero entry is positive."""
     w = primitive(v)
     return [-x for x in w] if next((x for x in w if x), 0) < 0 else w
+
+
+def _transpose(mat):
+    return [list(col) for col in zip(*mat)]
+
+
+def _mul(a, b):
+    return [[sum(map(mul, row, col)) for col in zip(*b)] for row in a]
 
 
 def row_hermite(mat):
@@ -79,7 +89,7 @@ def kernel_basis(mat):
     """
     if not mat:
         return []
-    h, u = row_hermite([list(col) for col in zip(*mat)])
+    h, u = row_hermite(_transpose(mat))
     return [sign_normalized(w) for w, row in zip(u, h) if not any(row)]
 
 
@@ -122,75 +132,31 @@ def signed_minors(mat, dim):
     return v if f % 2 else [-x for x in v]
 
 
+def _is_diagonal(s):
+    return not any(x for i, row in enumerate(s) for j, x in enumerate(row) if i != j)
+
+
 def smith(mat):
-    """Smith normal form: returns (u, s, v) with u @ mat @ v = s diagonal,
-    u and v unimodular, diagonal entries dividing each other in order."""
-    s = [list(row) for row in mat]
-    rows = len(s)
-    cols = len(s[0]) if rows else 0
-    u = identity(rows)
-    v = identity(cols)
-
-    def swap_rows(i, j):
-        for m in (s, u):
-            m[i], m[j] = m[j], m[i]
-
-    def swap_cols(i, j):
-        for row in s + v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, q):  # row_i -= q * row_j
-        for m in (s, u):
-            m[i] = [a - q * b for a, b in zip(m[i], m[j])]
-
-    def add_col(i, j, q):  # col_i -= q * col_j
-        for row in s + v:
-            row[i] -= q * row[j]
-
-    t = 0
-    while t < min(rows, cols):
-        # locate a nonzero entry in the remaining block
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if s[i][j] != 0:
-                    if pivot is None or abs(s[i][j]) < abs(s[pivot[0]][pivot[1]]):
-                        pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        done = False
-        while not done:
-            done = True
-            for i in range(t + 1, rows):
-                if s[i][t] != 0:
-                    q = s[i][t] // s[t][t]
-                    add_row(i, t, q)
-                    if s[i][t] != 0:
-                        swap_rows(t, i)
-                        done = False
-            for j in range(t + 1, cols):
-                if s[t][j] != 0:
-                    q = s[t][j] // s[t][t]
-                    add_col(j, t, q)
-                    if s[t][j] != 0:
-                        swap_cols(t, j)
-                        done = False
-        if s[t][t] < 0:
-            s[t] = [-a for a in s[t]]
-            u[t] = [-a for a in u[t]]
-        # enforce divisibility: fold in any non-divisible entry below-right
-        bad = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if s[i][j] % s[t][t] != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            add_row(t, bad, -1)
-            continue
-        t += 1
-    return u, s, v
+    """Smith normal form: (u, s, v) with u @ mat @ v = s diagonal, u and v
+    unimodular, and nonnegative diagonal entries d_i dividing each other in
+    order.  Row Hermite passes on s and on its transpose alternate until s is
+    diagonal; where d_i does not divide d_(i+1), column i+1 is added to
+    column i and the passes resume.  Each pass that leaves s off the diagonal
+    and each addition lowers the first d_i not alone in its row and column
+    to a gcd that properly divides it, keeping those before: the loop ends."""
+    s, u = row_hermite(mat)
+    v = identity(len(s[0]) if s else 0)
+    while True:
+        if not _is_diagonal(s):
+            h, w = row_hermite(_transpose(s))
+            s, v = _transpose(h), _mul(v, _transpose(w))
+        if _is_diagonal(s):
+            # a diagonal Hermite form lists its zero entries last
+            d = [s[i][i] for i in range(min(len(s), len(v)))]
+            i = next((i for i in range(len(d) - 1) if d[i] and d[i + 1] % d[i]), None)
+            if i is None:
+                return u, s, v
+            for row in s + v:
+                row[i] += row[i + 1]
+        s, w = row_hermite(s)
+        u = _mul(w, u)

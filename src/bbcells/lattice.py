@@ -63,14 +63,19 @@ def require_integers(values, what):
             raise ValueError(f"{what} entry {x!r} is not an integer")
 
 
+def require_rank(rank, what):
+    """Raise RankMismatch unless rank is an int, not a bool, of at least 1."""
+    if type(rank) is not int or rank < 1:
+        raise RankMismatch(f"{what} must be a positive integer")
+
+
 def cone_from_generators(generators, rank):
     """AffineMonoid with irredundant facet normals and a lineality basis.
 
     Facet normals are primitive inner normals (sign forced by the cone side);
     lineality basis vectors are primitive with first nonzero entry positive.
     """
-    if rank < 1:
-        raise RankMismatch("rank must be a positive integer")
+    require_rank(rank, "rank")
     if not generators:
         raise ValueError("generator list must be nonempty")
     for g in generators:
@@ -167,34 +172,22 @@ def _tighten(gens, lo, hi):
 
 
 def reduce_to_zero(monoid):
-    """Projection Z^rank -> Z^(rank - dim L) with kernel exactly L.
-
-    Splits the unit lattice off unimodularly via the Smith form of the
-    lineality basis; the image monoid always has a zero.
-    """
-    lin = [list(v) for v in monoid.lineality_basis]
-    if not lin:
-        matrix = tuple(tuple(row) for row in intlinalg.identity(monoid.rank))
-        return LatticeProjection(
-            source_rank=monoid.rank,
-            target_rank=monoid.rank,
-            matrix=matrix,
-            image_monoid=monoid,
-        )
-    l = len(lin)
-    # columns of m are the basis of L
-    m = [[lin[j][i] for j in range(l)] for i in range(monoid.rank)]
-    u, s, _ = intlinalg.smith(m)
+    """Projection Z^rank -> Z^(rank - dim L) with kernel exactly L: the last
+    rank - dim L rows of u in the Smith form u @ m @ v = [I; 0] of the
+    lineality basis m, written as columns.  Without units u is the identity
+    and the image is the monoid itself; the image always has a zero."""
+    l = len(monoid.lineality_basis)
+    u, s, _ = intlinalg.smith(
+        [[v[i] for v in monoid.lineality_basis] for i in range(monoid.rank)]
+    )
     # kernels of integer matrices are saturated, so the diagonal is all ones
     assert all(s[i][i] == 1 for i in range(l))
     proj_rows = u[l:]
-    target_rank = monoid.rank - l
-    images = [intlinalg.mat_vec(proj_rows, list(g)) for g in monoid.generators]
-    images = [tuple(v) for v in images if any(x != 0 for x in v)]
-    image = _build(images, target_rank)
+    images = [tuple(intlinalg.mat_vec(proj_rows, g)) for g in monoid.generators]
+    image = _build([v for v in images if any(v)], monoid.rank - l) if l else monoid
     return LatticeProjection(
         source_rank=monoid.rank,
-        target_rank=target_rank,
+        target_rank=monoid.rank - l,
         matrix=tuple(tuple(row) for row in proj_rows),
         image_monoid=image,
     )

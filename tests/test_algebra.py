@@ -68,6 +68,13 @@ class TestCheckHomogeneous:
             algebra.check_homogeneous(p, w)
         assert {err.value.weight_a, err.value.weight_b} == {(1,), (2,)}
 
+    def test_presentation_rejects_inhomogeneous_relation(self):
+        # checked once, when the presentation is built, not by each operation
+        w = weighting(("x", (1,)), ("y", (2,)))
+        with pytest.raises(InhomogeneousError) as err:
+            algebra.GradedPresentation(w, (poly([(1, (1, 0)), (1, (0, 1))]),))
+        assert str(err.value) == "relation mixes terms of weight (1,) and (2,)"
+
     def test_constant(self):
         assert algebra.check_homogeneous(poly([(5, (0, 0))]), W_XY) == (0,)
 
@@ -291,6 +298,11 @@ def free12(*gens):
 NOT_EXACT = {
     "zero_torus_rank": (lambda: algebra.VariableWeighting(0, ()), RankMismatch),
     "negative_torus_rank": (lambda: algebra.VariableWeighting(-5, ()), RankMismatch),
+    # both once constructed: only the sign of the torus rank was checked
+    "float_torus_rank": (lambda: algebra.VariableWeighting(1.5, ()), RankMismatch),
+    "bool_torus_rank": (
+        lambda: algebra.VariableWeighting(True, (("x", (1,)),)), RankMismatch
+    ),
     "float_exponent": (lambda: free12((1.9, 0)), ValueError),
     "bool_exponent": (lambda: free12((0, True)), ValueError),
     "negative_exponent": (lambda: free12((-1, 0)), ValueError),
@@ -324,6 +336,15 @@ def test_library_rejects_entries_that_are_not_exact(case):
     call, error = NOT_EXACT[case]
     with pytest.raises(error):
         call()
+
+
+# 5 once ended in a bare TypeError from the name pattern, and the unhashable
+# [5] in one from the uniqueness check
+@pytest.mark.parametrize("name", [5, [5], None])
+def test_variable_name_must_be_a_string(name):
+    with pytest.raises(ValueError) as err:
+        algebra.VariableWeighting(1, (("x", (1,)), (name, (1,))))
+    assert str(err.value) == f"invalid variable name {name!r}"
 
 
 class TestAlgebraize:

@@ -30,6 +30,11 @@ GOLDEN_CASES = [
         "monoid_reduce",
         ["monoid", "reduce", "-i", data("monoid_halfplane.json"), "--json"],
     ),
+    # pins the canonical projection: the Hermite rows that kill the unit line
+    (
+        "monoid_reduce_rank3",
+        ["monoid", "reduce", "-i", data("monoid_rank3_line.json"), "--json"],
+    ),
     (
         "algebra_bbplus_node",
         ["algebra", "bbplus", "-i", data("pres_node.json"),
@@ -140,6 +145,17 @@ class TestHumanOutput:
         lines = capsys.readouterr().out.splitlines()
         assert "  partition: [2], dimension: 4, generic: true" in lines
         assert "  partition: [1, 1], dimension: 3, generic: true" in lines
+
+    # a string that reads as a JSON literal is quoted; other strings stay bare
+    @pytest.mark.parametrize("name", ["null", "true", "false"])
+    def test_literal_names_are_quoted(self, name, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        variables = [{"name": name, "weight": [0]}, {"name": "x", "weight": [1]}]
+        path.write_text(json.dumps({"torus_rank": 1, "variables": variables}))
+        assert main(["algebra", "fixed", "-i", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            f'torus_rank: 1\nvariables:\n  name: "{name}", weight: [0]\nrelations: []\n'
+        )
 
 
 class TestErrorPaths:
@@ -519,6 +535,17 @@ class TestStrictInputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error[bad-input]: ")
+
+    def test_number_as_variable_name_is_pinned(self, tmp_path, capsys):
+        doc = dict(FIXED_GOOD, variables=[{"name": 5, "weight": [1]}])
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        for mode in ([], ["--json"]):
+            assert main(["algebra", "fixed", "-i", str(path), *mode]) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (
+                "", "error[bad-input]: invalid variable name 5\n"
+            )
 
     def test_decimal_strings_match_integers(self, tmp_path, capsys):
         as_strings = {"rank": "1", "generators": [["1"]]}

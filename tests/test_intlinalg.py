@@ -56,11 +56,21 @@ def test_kernel_vectors_annihilate_and_span():
         assert len(basis) == cols - intlinalg.rank_of(mat)
 
 
-def test_smith_diagonalizes_with_divisibility():
+def smith_inputs():
+    """Random matrices up to 6 x 6, then the all-zero 3 x 4 matrix and
+    diagonal ones whose entries do not divide each other in order."""
     rng = random.Random(10)
-    for _ in range(40):
-        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-        mat = random_matrix(rng, rows, cols)
+    for _ in range(120):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        yield random_matrix(rng, rows, cols, bound=rng.choice([1, 5, 50]))
+    yield [[0] * 4 for _ in range(3)]
+    yield [[4, 0, 0], [0, 6, 0], [0, 0, 10]]
+    yield [[6, 0], [0, 4], [0, 0]]
+
+
+def test_smith_diagonalizes_with_divisibility():
+    for mat in smith_inputs():
+        rows, cols = len(mat), len(mat[0])
         u, s, v = intlinalg.smith(mat)
         assert mat_mul(mat_mul(u, mat), v) == s
         assert abs(det(u)) == 1 and abs(det(v)) == 1
@@ -69,6 +79,7 @@ def test_smith_diagonalizes_with_divisibility():
             for j in range(cols):
                 if i != j:
                     assert s[i][j] == 0
+        assert all(a >= 0 for a in diag)
         for a, b in zip(diag, diag[1:]):
             if a != 0:
                 assert b % a == 0

@@ -56,6 +56,12 @@ class TestConeFromGenerators:
         with pytest.raises(ValueError, match=re.escape(repr(entry))):
             lattice.cone_from_generators([(entry, 0), (0, 1)], 2)
 
+    # True once gave a monoid of rank True, and 1.0 a bare TypeError
+    @pytest.mark.parametrize("rank", [True, 1.0])
+    def test_rejects_a_rank_that_is_not_an_integer(self, rank):
+        with pytest.raises(RankMismatch, match="^rank must be a positive integer$"):
+            lattice.cone_from_generators([(1,)], rank)
+
 
 class TestContains:
     def test_orthant_membership(self):
@@ -174,6 +180,16 @@ class TestReduceToZero:
         assert proj.target_rank == 1
         assert proj.apply((1, 1)) == (0,)
         assert lattice.has_zero(proj.image_monoid)
+
+    def test_canonical_projection_at_rank_three(self):
+        # the rows of the Hermite transform of the unit basis (0, 3, -2)
+        # that it sends to zero, in the transform's order
+        m = mono([(1, 3, -2), (0, -3, 2), (0, 3, -2)], 3)
+        proj = lattice.reduce_to_zero(m)
+        assert m.lineality_basis == ((0, 3, -2),)
+        assert proj.matrix == ((1, 0, 0), (0, -2, -3))
+        assert proj.image_monoid.generators == ((1, 0),)
+        assert proj.apply((0, 3, -2)) == (0, 0)
 
 
 class TestRandomInvariants:
