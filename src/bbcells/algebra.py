@@ -22,6 +22,9 @@ from .errors import (
     NotMinimalPresentation,
     RankMismatch,
     WeightOutsideMonoid,
+    require_natural,
+    require_rank,
+    require_vector,
 )
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -33,18 +36,14 @@ class VariableWeighting:
     variables: tuple  # tuple of (name, weight tuple)
 
     def __post_init__(self):
-        lattice.require_rank(self.torus_rank, "torus rank")
+        require_rank(self.torus_rank, "torus rank")
         for name, _ in self.variables:
             if not isinstance(name, str) or not _IDENT.match(name):
                 raise ValueError(f"invalid variable name {name!r}")
         if len(set(self.names)) != len(self.names):
             raise ValueError("variable names must be unique")
         for name, weight in self.variables:
-            if len(weight) != self.torus_rank:
-                raise RankMismatch(
-                    f"weight of {name} has length {len(weight)}, expected {self.torus_rank}"
-                )
-            lattice.require_integers(weight, f"weight of {name}")
+            require_vector(weight, self.torus_rank, f"weight of {name}")
 
     @property
     def names(self):
@@ -69,17 +68,25 @@ class GradedPolynomial:
         return tuple((t[1], (t[0].numerator, t[0].denominator)) for t in self.terms)
 
 
+def _require_exponents(exps, nvars):
+    """The tuple of exps, which must be nvars nonnegative ints."""
+    exps = require_vector(exps, nvars, "monomial")
+    if min(exps, default=0) < 0:
+        raise ValueError(f"monomial {exps} has a negative exponent")
+    return exps
+
+
 def make_polynomial(terms):
     """Canonical GradedPolynomial from (coeff, exponents) pairs: an int or
-    Fraction coefficient and non-negative int exponents, else ValueError."""
+    Fraction coefficient and non-negative int exponents, as many in every term
+    as in the first, else ValueError or RankMismatch."""
     merged = {}
     for coeff, exps in terms:
         if type(coeff) is not int and not isinstance(coeff, Fraction):
             raise ValueError(f"coefficient {coeff!r} is not an int or a Fraction")
-        lattice.require_integers(exps, "exponent")
-        if min(exps, default=0) < 0:
-            raise ValueError(f"exponents {tuple(exps)} include a negative entry")
-        exps = tuple(exps)
+        if not merged:
+            nvars = len(exps) if isinstance(exps, (list, tuple)) else 0
+        exps = _require_exponents(exps, nvars)
         merged[exps] = merged.get(exps, Fraction(0)) + coeff
     out = [(c, e) for e, c in merged.items() if c != 0]
     out.sort(key=lambda t: t[1], reverse=True)
@@ -114,14 +121,8 @@ class MonomialQuotient:
 
     def __post_init__(self):
         nvars = len(self.weighting.variables)
-        for g in self.minimal_generators:
-            if len(g) != nvars:
-                raise RankMismatch(f"monomial {tuple(g)} does not have {nvars} exponents")
-            lattice.require_integers(g, "monomial")
-            if any(e < 0 for e in g):
-                raise ValueError(f"monomial {tuple(g)} has a negative exponent")
-        gens = minimalize_monomials(self.minimal_generators)
-        object.__setattr__(self, "minimal_generators", gens)
+        gens = [_require_exponents(g, nvars) for g in self.minimal_generators]
+        object.__setattr__(self, "minimal_generators", minimalize_monomials(gens))
 
 
 def _divides(a, b):
@@ -149,11 +150,10 @@ class StabilizationReport:
 
 
 def weight_of(exps, weighting):
-    if len(exps) != len(weighting.variables):
-        raise RankMismatch(
-            f"monomial has {len(exps)} exponents, weighting has "
-            f"{len(weighting.variables)} variables"
-        )
+    return _weight(require_vector(exps, len(weighting.variables), "monomial"), weighting)
+
+
+def _weight(exps, weighting):
     total = [0] * weighting.torus_rank
     for e, (_, w) in zip(exps, weighting.variables):
         for i in range(weighting.torus_rank):
@@ -288,7 +288,7 @@ def _pairing(a, b):
 
 
 def _standard_monomials(quotient, monoid, budget, kempf=None):
-    """Weight and J-order of every standard monomial of cost at most budget.
+    """Weight and J-order of every standard monomial of cost at most budget >= 0.
 
     Each nonzero-weight variable costs 1, so the cost is the J-order, or its
     Kempf degree when a Kempf vector is given, which is at least the J-order.
@@ -300,7 +300,7 @@ def _standard_monomials(quotient, monoid, budget, kempf=None):
     costs = {
         i: 1 if kempf is None else _pairing(kempf, w.variables[i][1]) for i in pos_idx
     }
-    level = [((0,) * len(w.variables), 0)] if budget >= 0 else []
+    level = [((0,) * len(w.variables), 0)]
     for i in pos_idx + zero_idx:
         c = costs.get(i, 0)
         level = [
@@ -310,7 +310,7 @@ def _standard_monomials(quotient, monoid, budget, kempf=None):
         ]
     for exps, _ in level:
         if not any(_divides(g, exps) for g in quotient.minimal_generators):
-            yield weight_of(exps, w), sum(exps[i] for i in pos_idx)
+            yield _weight(exps, w), sum(exps[i] for i in pos_idx)
 
 
 def truncate(quotient, monoid, n):
@@ -320,8 +320,7 @@ def truncate(quotient, monoid, n):
     Returns {weight: dimension} over all weights realized at this level.
     """
     lattice.require_zero(monoid)
-    if n < 0:
-        raise ValueError("truncation level must be nonnegative")
+    require_natural(n, "truncation level")
     return dict(Counter(w for w, _ in _standard_monomials(quotient, monoid, n)))
 
 
@@ -329,12 +328,7 @@ def _weight_orders(quotient, monoid, weight):
     """The checked weight, its Kempf degree n_lambda (0 when negative) and the
     J-orders of its standard monomials, all of Kempf degree n_lambda."""
     kempf = lattice.kempf_vector(monoid).w
-    weight = tuple(weight)
-    if len(weight) != monoid.rank:
-        raise RankMismatch(
-            f"weight has length {len(weight)}, monoid has rank {monoid.rank}"
-        )
-    lattice.require_integers(weight, "weight")
+    weight = require_vector(weight, monoid.rank, "weight")
     n_lambda = max(_pairing(kempf, weight), 0)
     monomials = _standard_monomials(quotient, monoid, n_lambda, kempf)
     return weight, n_lambda, [order for w, order in monomials if w == weight]
@@ -375,8 +369,7 @@ def algebraize_check(quotient, monoid, weight_bound):
     """Whether truncations at level n_lambda recover every graded component of
     Kempf degree at most weight_bound."""
     kempf = lattice.kempf_vector(monoid).w
-    if weight_bound < 0:
-        raise ValueError("weight bound must be nonnegative")
+    require_natural(weight_bound, "weight bound")
     # the truncation at n_lambda keeps as many monomials of a weight as the
     # full quotient exactly when none of them has J-order above n_lambda
     monomials = _standard_monomials(quotient, monoid, weight_bound, kempf)

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the library and the CLI."""
+"""Exception hierarchy shared across the library and the CLI, and the
+exact-integer input checks that raise it: every vector the library takes is
+a list or tuple of ints, and every rank, level or size is an int."""
 
 
 class DomainError(Exception):
@@ -71,3 +73,29 @@ class UnknownVariable(DomainError):
 
 class ExponentOverflow(DomainError):
     code = "exponent-overflow"
+
+
+def require_vector(values, length, what):
+    """The tuple of values, which must be a list or tuple of `length` ints;
+    bool, a subclass of int, is rejected too."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{what} {values!r} is not a list or tuple")
+    values = tuple(values)
+    if len(values) != length:
+        raise RankMismatch(f"{what} {values} has length {len(values)}, expected {length}")
+    for x in values:
+        if type(x) is not int:
+            raise ValueError(f"{what} entry {x!r} is not an integer")
+    return values
+
+
+def require_natural(n, what):
+    """Raise ValueError unless n is an int, not a bool, of at least 0."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"{what} must be a nonnegative integer")
+
+
+def require_rank(rank, what):
+    """Raise RankMismatch unless rank is an int, not a bool, of at least 1."""
+    if type(rank) is not int or rank < 1:
+        raise RankMismatch(f"{what} must be a positive integer")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import intlinalg
-from .errors import NonGenericWeight
+from .errors import NonGenericWeight, require_natural, require_vector
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,7 @@ class MonomialIdealPlane:
 
 def partitions(d):
     """All partitions of d in reverse lexicographic order: (d) first."""
-    if d < 0:
-        raise ValueError("d must be nonnegative")
+    require_natural(d, "d")
     if d == 0:
         return [()]
     out = []
@@ -56,10 +55,10 @@ def ideal_from_partition(partition):
     """Monomial ideal whose standard monomials x^a y^b fill the diagram:
     row b holds the exponents a < partition[b]."""
     partition = tuple(partition)
-    if any(p < 1 for p in partition) or any(
+    if any(type(p) is not int or p < 1 for p in partition) or any(
         a < b for a, b in zip(partition, partition[1:])
     ):
-        raise ValueError("parts must be positive and weakly decreasing")
+        raise ValueError("parts must be positive integers, weakly decreasing")
     rows = len(partition)
     # corners: y^rows, and (partition[b], b) at each strict drop of the staircase
     gens = [(0, rows)]
@@ -163,8 +162,9 @@ def intersection_dimension(ideal, *flows):
     character = tangent_character_armleg(ideal)
     kept = dict(character)
     for w in flows:
+        w1, w2 = require_vector(w, 2, "weight")
         for t in character:
-            pairing = w[0] * t[0] + w[1] * t[1]
+            pairing = w1 * t[0] + w2 * t[1]
             if pairing == 0:
                 raise NonGenericWeight(ideal.partition, w, t)
             if pairing < 0:
@@ -194,7 +194,7 @@ def is_generic(d, w):
     signs solve neither (l+1) w1 = a w2 nor l w1 = (a+1) w2.  With the same
     signs and w = g (p, q), g = gcd(w1, w2), each forces a + l + 1 = k (p + q)
     with k >= 1, so a pair fits in d iff p + q <= d."""
-    w1, w2 = w
+    w1, w2 = require_vector(w, 2, "weight")
     if d < 1:
         return True
     if w1 == 0 or w2 == 0:
@@ -229,8 +229,7 @@ def poincare_histogram(d, w):
     Raises NonGenericWeight if w pairs to zero with some tangent weight,
     naming the first witness in partitions(d) order.
     """
-    if d < 0:
-        raise ValueError("d must be nonnegative")
+    require_natural(d, "d")
     if not is_generic(d, w):
         # some partition is a witness (see is_generic); the first one raises
         for partition in partitions(d):

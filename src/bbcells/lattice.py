@@ -10,7 +10,7 @@ from itertools import count
 from operator import mul
 
 from . import intlinalg, polyhedra
-from .errors import MonoidHasUnits, RankMismatch
+from .errors import MonoidHasUnits, require_rank, require_vector
 
 
 @dataclass(frozen=True)
@@ -34,15 +34,12 @@ class LatticeProjection:
     image_monoid: AffineMonoid
 
     def apply(self, m):
-        if len(m) != self.source_rank:
-            raise RankMismatch(
-                f"vector has length {len(m)}, projection expects {self.source_rank}"
-            )
+        m = require_vector(m, self.source_rank, "vector")
         return tuple(sum(r * x for r, x in zip(row, m)) for row in self.matrix)
 
 
 def _build(generators, rank):
-    gens = tuple(tuple(g) for g in generators)
+    gens = tuple(generators)
     normals = tuple(polyhedra.cone_inequalities(gens, rank))
     # with no constraints the cone is all of Q^rank
     lineality = (intlinalg.kernel_basis([list(a) for a in normals]) if normals
@@ -55,20 +52,6 @@ def _build(generators, rank):
     )
 
 
-def require_integers(values, what):
-    """Raise ValueError unless every value is an int; bool, a subclass of int,
-    is rejected too."""
-    for x in values:
-        if type(x) is not int:
-            raise ValueError(f"{what} entry {x!r} is not an integer")
-
-
-def require_rank(rank, what):
-    """Raise RankMismatch unless rank is an int, not a bool, of at least 1."""
-    if type(rank) is not int or rank < 1:
-        raise RankMismatch(f"{what} must be a positive integer")
-
-
 def cone_from_generators(generators, rank):
     """AffineMonoid with irredundant facet normals and a lineality basis.
 
@@ -78,19 +61,12 @@ def cone_from_generators(generators, rank):
     require_rank(rank, "rank")
     if not generators:
         raise ValueError("generator list must be nonempty")
-    for g in generators:
-        if len(g) != rank:
-            raise RankMismatch(f"generator {tuple(g)} does not have length {rank}")
-        require_integers(g, "generator")
-    return _build(generators, rank)
+    return _build([require_vector(g, rank, "generator") for g in generators], rank)
 
 
 def contains(monoid, m):
     """Membership in the saturation cone(S) intersect Z^rank."""
-    if len(m) != monoid.rank:
-        raise RankMismatch(
-            f"vector has length {len(m)}, monoid has rank {monoid.rank}"
-        )
+    require_vector(m, monoid.rank, "vector")
     return all(sum(map(mul, normal, m)) >= 0 for normal in monoid.facet_normals)
 
 

@@ -293,8 +293,9 @@ def free12(*gens):
     return algebra.MonomialQuotient(weighting(("x", (1,)), ("y", (2,))), gens)
 
 
-# library calls given entries that are not exact integers, exponent tuples
-# of the wrong length or a torus rank below 1, with the error each must raise
+# library calls given entries that are not exact integers, a bare int where a
+# vector goes, exponent tuples of the wrong length or a torus rank below 1,
+# with the error each must raise
 NOT_EXACT = {
     "zero_torus_rank": (lambda: algebra.VariableWeighting(0, ()), RankMismatch),
     "negative_torus_rank": (lambda: algebra.VariableWeighting(-5, ()), RankMismatch),
@@ -316,6 +317,13 @@ NOT_EXACT = {
     "bool_stabilize_weight": (
         lambda: algebra.stabilization_check(free12(), N1, (True,), 2), ValueError
     ),
+    "float_weight_of": (lambda: algebra.weight_of((0.5, 0), W_XY), ValueError),
+    "float_truncation_level": (lambda: algebra.truncate(free12(), N1, 2.0), ValueError),
+    "bool_weight_bound": (
+        lambda: algebra.algebraize_check(free12(), N1, True), ValueError
+    ),
+    "int_as_weight": (lambda: algebra.VariableWeighting(1, (("x", 5),)), ValueError),
+    "int_as_monomial": (lambda: free12(3), ValueError),
     # make_polynomial once read these as the term (1, (1, 0)) and 1/2 * x
     "float_term_exponent": (lambda: poly([(1, (1.9, 0))]), ValueError),
     "float_coefficient": (lambda: poly([(0.5, (1, 0))]), ValueError),
@@ -323,6 +331,8 @@ NOT_EXACT = {
     "string_coefficient": (lambda: poly([("1", (1, 0))]), ValueError),
     "bool_term_exponent": (lambda: poly([(1, (True, 0))]), ValueError),
     "negative_term_exponent": (lambda: poly([(1, (0, -1))]), ValueError),
+    "int_as_term_exponents": (lambda: poly([(1, 5)]), ValueError),
+    "mixed_term_lengths": (lambda: poly([(1, (1, 0)), (1, (1,))]), RankMismatch),
 }
 
 

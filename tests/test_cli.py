@@ -158,6 +158,9 @@ class TestHumanOutput:
         )
 
 
+QUOT_ARGS = ["-i", data("quot_free12.json"), "-m", data("monoid_n.json")]
+
+
 class TestErrorPaths:
     def test_monoid_with_units_is_domain_error(self, capsys):
         rc = main(
@@ -266,6 +269,40 @@ class TestErrorPaths:
                 "", f"error[bad-input]: missing key '{key}'\n"
             )
 
+    # messages of the exact-input checks in bbcells.errors; the documents are
+    # (file name, JSON) pairs written next to the test
+    @pytest.mark.parametrize("argv, docs, err", [
+        (["monoid", "analyze", "-i", "{gen}"],
+         {"gen": {"rank": 1, "generators": [[1, 0]]}},
+         "error[rank-mismatch]: generator (1, 0) has length 2, expected 1"),
+        (["algebra", "fixed", "-i", "{pres}"],
+         {"pres": {"torus_rank": 1, "variables": [{"name": "x", "weight": [1, 2]}]}},
+         "error[rank-mismatch]: weight of x (1, 2) has length 2, expected 1"),
+        (["algebra", "stabilize", *QUOT_ARGS, "-w", "3,5", "-n", "2"], {},
+         "error[rank-mismatch]: weight (3, 5) has length 2, expected 1"),
+        (["algebra", "truncate", *QUOT_ARGS, "-n", "-1"], {},
+         "error[bad-input]: truncation level must be a nonnegative integer"),
+        (["algebra", "algebraize", *QUOT_ARGS, "--bound", "-1"], {},
+         "error[bad-input]: weight bound must be a nonnegative integer"),
+        (["hilb", "fixed-points", "-d", "-1"], {},
+         "error[bad-input]: d must be a nonnegative integer"),
+        (["hilb", "cells", "-d", "-1"], {},
+         "error[bad-input]: d must be a nonnegative integer"),
+        (["hilb", "poincare", "-d", "-1"], {},
+         "error[bad-input]: d must be a nonnegative integer"),
+    ], ids=["generator", "variable_weight", "stabilize_weight", "level", "bound",
+            "fixed_points_d", "cells_d", "poincare_d"])
+    def test_exact_input_errors_are_pinned(self, argv, docs, err, tmp_path, capsys):
+        paths = {}
+        for name, doc in docs.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(doc))
+        argv = [arg.format(**paths) for arg in argv]
+        for mode in ([], ["--json"]):
+            assert main(argv + mode) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", err + "\n")
+
     def test_deeply_nested_document_is_bad_input(self, tmp_path, capsys):
         # deeper than the interpreter's recursion limit for json.load
         depth = 100_000
@@ -279,7 +316,6 @@ class TestErrorPaths:
             )
 
 
-QUOT_ARGS = ["-i", data("quot_free12.json"), "-m", data("monoid_n.json")]
 # each integer flag, with the slot its value goes into
 INTEGER_FLAGS = {
     "d": lambda x: ["hilb", "cells", "-d", x],

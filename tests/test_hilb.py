@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from bbcells import hilb
-from bbcells.errors import NonGenericWeight
+from bbcells.errors import NonGenericWeight, RankMismatch
 from conftest import enumerated_poincare_histogram, ideal_is_generic, looped_is_generic
 
 
@@ -56,8 +56,9 @@ class TestPartitions:
 
     def test_zero_and_negative(self):
         assert hilb.partitions(0) == [()]
-        with pytest.raises(ValueError):
-            hilb.partitions(-1)
+        for d in (-1, 2.5, True):
+            with pytest.raises(ValueError, match="^d must be a nonnegative integer$"):
+                hilb.partitions(d)
 
 
 class TestIdealFromPartition:
@@ -89,6 +90,9 @@ class TestIdealFromPartition:
             hilb.ideal_from_partition((1, 2))
         with pytest.raises(ValueError):
             hilb.ideal_from_partition((0,))
+        for partition in ((True,), (1.5,), (2, 1.0)):
+            with pytest.raises(ValueError):
+                hilb.ideal_from_partition(partition)
 
 
 class TestTangentCharacters:
@@ -206,6 +210,19 @@ class TestIntersectionDimension:
             assert err.value.weight == (1, 1)
             assert err.value.tangent_weight == (-1, 1)
 
+    @pytest.mark.parametrize("w, error", [
+        ((0.5, 1), ValueError), ((1, True), ValueError), (5, ValueError),
+        ((1, 3, 1), RankMismatch),
+    ], ids=["float", "bool", "int", "triple"])
+    def test_flows_must_be_integer_pairs(self, w, error):
+        ideal = hilb.ideal_from_partition((2,))
+        for call in (lambda: hilb.cell_dimension(ideal, w),
+                     lambda: hilb.intersection_dimension(ideal, (1, 3), w),
+                     lambda: hilb.is_generic(2, w),
+                     lambda: hilb.poincare_histogram(2, w)):
+            with pytest.raises(error):
+                call()
+
     def test_bounded_by_cells(self):
         for p in hilb.partitions(6):
             ideal = hilb.ideal_from_partition(p)
@@ -227,6 +244,11 @@ class TestPoincare:
         for d in range(1, 9):
             histogram = hilb.poincare_histogram(d, hilb.default_generic_weight(d))
             assert histogram[2 * d] == 1
+
+    @pytest.mark.parametrize("d", [-1, 2.0, True])
+    def test_d_must_be_a_nonnegative_integer(self, d):
+        with pytest.raises(ValueError, match="^d must be a nonnegative integer$"):
+            hilb.poincare_histogram(d, (1, 3))
 
     def test_non_generic_weight_rejected(self):
         with pytest.raises(NonGenericWeight) as err:

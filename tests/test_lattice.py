@@ -50,6 +50,8 @@ class TestConeFromGenerators:
             lattice.cone_from_generators([], 2)
         with pytest.raises(RankMismatch):
             lattice.cone_from_generators([(1, 0)], 1)
+        with pytest.raises(ValueError, match="^generator 5 is not a list or tuple$"):
+            lattice.cone_from_generators([5], 1)
 
     @pytest.mark.parametrize("entry", [1.9, 1.0, True, False, "1", Fraction(1)])
     def test_rejects_entries_that_are_not_integers(self, entry):
@@ -78,6 +80,15 @@ class TestContains:
         m = mono([(1, 0)], 2)
         with pytest.raises(RankMismatch):
             lattice.contains(m, (1,))
+
+    @pytest.mark.parametrize("query", [(0.5, 1), (True, 1), (1, "1"), 3],
+                             ids=["float", "bool", "string", "int"])
+    def test_queries_must_be_integer_vectors(self, query):
+        m = mono([(1, 0), (0, 1)], 2)
+        with pytest.raises(ValueError):
+            lattice.contains(m, query)
+        with pytest.raises(ValueError):
+            lattice.reduce_to_zero(m).apply(query)
 
 
 class TestUnitsAndZero:
