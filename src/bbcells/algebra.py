@@ -24,6 +24,7 @@ from .errors import (
     WeightOutsideMonoid,
     require_natural,
     require_rank,
+    require_sequence,
     require_vector,
 )
 
@@ -37,13 +38,14 @@ class VariableWeighting:
 
     def __post_init__(self):
         require_rank(self.torus_rank, "torus rank")
-        for name, _ in self.variables:
+        for name, _ in require_sequence(self.variables, "variables"):
             if not isinstance(name, str) or not _IDENT.match(name):
                 raise ValueError(f"invalid variable name {name!r}")
         if len(set(self.names)) != len(self.names):
             raise ValueError("variable names must be unique")
-        for name, weight in self.variables:
-            require_vector(weight, self.torus_rank, f"weight of {name}")
+        object.__setattr__(self, "variables", tuple(
+            (name, require_vector(weight, self.torus_rank, f"weight of {name}"))
+            for name, weight in self.variables))
 
     @property
     def names(self):
@@ -121,7 +123,8 @@ class MonomialQuotient:
 
     def __post_init__(self):
         nvars = len(self.weighting.variables)
-        gens = [_require_exponents(g, nvars) for g in self.minimal_generators]
+        gens = require_sequence(self.minimal_generators, "minimal generators")
+        gens = [_require_exponents(g, nvars) for g in gens]
         object.__setattr__(self, "minimal_generators", minimalize_monomials(gens))
 
 
@@ -246,8 +249,10 @@ def open_immersion_check(presentation, monoid):
     return not outsider_variables(presentation, monoid)
 
 
-def _split_variables(quotient, monoid):
-    """Indices of zero-weight and nonzero-weight variables, with checks."""
+def _counting_plan(quotient, monoid):
+    """Every check a count needs, then the indices of the nonzero-weight
+    variables and {index: least pure power} for the zero-weight ones; with no
+    pure power, a weight-graded component is infinite dimensional."""
     w = quotient.weighting
     outside = outsider_variables(quotient, monoid)
     if outside:
@@ -255,32 +260,19 @@ def _split_variables(quotient, monoid):
         raise WeightOutsideMonoid(
             f"variable {name} has weight {dict(w.variables)[name]} outside the monoid"
         )
-    zero = (0,) * w.torus_rank
-    zero_idx = [i for i, (_, weight) in enumerate(w.variables) if weight == zero]
-    pos_idx = [i for i, (_, weight) in enumerate(w.variables) if weight != zero]
-    return zero_idx, pos_idx
-
-
-def _zero_weight_bounds(quotient, zero_idx):
-    """Exponent bounds for zero-weight variables from pure-power generators.
-
-    Without a pure power x_i^e in the ideal, the weight-graded components are
-    infinite dimensional and no count exists.
-    """
-    bounds = {}
-    for i in zero_idx:
-        best = None
-        for g in quotient.minimal_generators:
-            if g[i] > 0 and all(g[j] == 0 for j in range(len(g)) if j != i):
-                best = g[i] if best is None else min(best, g[i])
-        if best is None:
-            name = quotient.weighting.variables[i][0]
+    pos_idx, bounds = [], {}
+    for i, (name, weight) in enumerate(w.variables):
+        if any(weight):
+            pos_idx.append(i)
+            continue
+        powers = [g[i] for g in quotient.minimal_generators if 0 < g[i] == sum(g)]
+        if not powers:
             raise InfiniteDimension(
                 f"zero-weight variable {name} has no pure power in the ideal; "
                 "graded components are infinite dimensional"
             )
-        bounds[i] = best
-    return bounds
+        bounds[i] = min(powers)
+    return pos_idx, bounds
 
 
 def _pairing(a, b):
@@ -294,14 +286,13 @@ def _standard_monomials(quotient, monoid, budget, kempf=None):
     Kempf degree when a Kempf vector is given, which is at least the J-order.
     Zero-weight variables cost nothing and stay below their pure-power bounds.
     """
-    zero_idx, pos_idx = _split_variables(quotient, monoid)
-    bounds = _zero_weight_bounds(quotient, zero_idx)
+    pos_idx, bounds = _counting_plan(quotient, monoid)
     w = quotient.weighting
     costs = {
         i: 1 if kempf is None else _pairing(kempf, w.variables[i][1]) for i in pos_idx
     }
     level = [((0,) * len(w.variables), 0)]
-    for i in pos_idx + zero_idx:
+    for i in pos_idx + list(bounds):
         c = costs.get(i, 0)
         level = [
             (exps[:i] + (e,) + exps[i + 1:], cost + e * c)
@@ -367,10 +358,11 @@ def stabilization_check(quotient, monoid, weight, n_max):
 
 def algebraize_check(quotient, monoid, weight_bound):
     """Whether truncations at level n_lambda recover every graded component of
-    Kempf degree at most weight_bound."""
-    kempf = lattice.kempf_vector(monoid).w
+    Kempf degree at most weight_bound.  After the checks of the counts, in
+    their order, it is True: the Kempf vector of the pointed monoid pairs to
+    an integer >= 1 with every nonzero point of the saturated cone, so every
+    standard monomial of weight lambda has J-order at most n_lambda."""
+    lattice.require_zero(monoid)
     require_natural(weight_bound, "weight bound")
-    # the truncation at n_lambda keeps as many monomials of a weight as the
-    # full quotient exactly when none of them has J-order above n_lambda
-    monomials = _standard_monomials(quotient, monoid, weight_bound, kempf)
-    return all(order <= _pairing(kempf, w) for w, order in monomials)
+    _counting_plan(quotient, monoid)
+    return True

@@ -87,10 +87,21 @@ def _parse_int_vector(raw):
     return tuple(_parse_int(x) for x in _parse_list(raw, "integers"))
 
 
+def _unique_keys(pairs):
+    """The object of a JSON document's (key, value) pairs; a key given twice
+    is an error, not a silent overwrite."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_json(path):
     with open(path) as fh:
         try:
-            doc = json.load(fh, parse_int=_decimal)
+            doc = json.load(fh, parse_int=_decimal, object_pairs_hook=_unique_keys)
         except RecursionError:
             raise ValueError(f"{path}: JSON document is nested too deeply") from None
     if not isinstance(doc, dict):

@@ -75,12 +75,17 @@ class ExponentOverflow(DomainError):
     code = "exponent-overflow"
 
 
+def require_sequence(values, what):
+    """The tuple of values, which must be a list or tuple."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{what} {values!r} is not a list or tuple")
+    return tuple(values)
+
+
 def require_vector(values, length, what):
     """The tuple of values, which must be a list or tuple of `length` ints;
     bool, a subclass of int, is rejected too."""
-    if not isinstance(values, (list, tuple)):
-        raise ValueError(f"{what} {values!r} is not a list or tuple")
-    values = tuple(values)
+    values = require_sequence(values, what)
     if len(values) != length:
         raise RankMismatch(f"{what} {values} has length {len(values)}, expected {length}")
     for x in values:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import intlinalg
-from .errors import NonGenericWeight, require_natural, require_vector
+from .errors import NonGenericWeight, require_natural, require_sequence, require_vector
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ def transpose(partition):
 def ideal_from_partition(partition):
     """Monomial ideal whose standard monomials x^a y^b fill the diagram:
     row b holds the exponents a < partition[b]."""
-    partition = tuple(partition)
+    partition = require_sequence(partition, "partition")
     if any(type(p) is not int or p < 1 for p in partition) or any(
         a < b for a, b in zip(partition, partition[1:])
     ):
@@ -128,8 +128,6 @@ def _hom_dimension(partition, gens, delta):
         for t, (a, b) in enumerate(gens)
         if _is_standard(partition, a + d1, b + d2)
     ]
-    if not live:
-        return 0
     index = {t: i for i, t in enumerate(live)}
     rows = []
     for t in range(len(gens) - 1):
@@ -175,6 +173,7 @@ def intersection_dimension(ideal, *flows):
 def default_generic_weight(d):
     """(1, d+1) pairs to zero only with the zero weight, which never occurs:
     tangent weights at colength-d ideals have both coordinates in [-d, d]."""
+    require_natural(d, "d")
     return (1, d + 1)
 
 
@@ -194,6 +193,7 @@ def is_generic(d, w):
     signs solve neither (l+1) w1 = a w2 nor l w1 = (a+1) w2.  With the same
     signs and w = g (p, q), g = gcd(w1, w2), each forces a + l + 1 = k (p + q)
     with k >= 1, so a pair fits in d iff p + q <= d."""
+    require_natural(d, "d")
     w1, w2 = require_vector(w, 2, "weight")
     if d < 1:
         return True
@@ -229,7 +229,6 @@ def poincare_histogram(d, w):
     Raises NonGenericWeight if w pairs to zero with some tangent weight,
     naming the first witness in partitions(d) order.
     """
-    require_natural(d, "d")
     if not is_generic(d, w):
         # some partition is a witness (see is_generic); the first one raises
         for partition in partitions(d):

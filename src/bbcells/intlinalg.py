@@ -87,8 +87,6 @@ def kernel_basis(mat):
     generates it over Z.  Computed via the Hermite form of the transpose:
     rows of u that multiply mat^T to zero span the kernel.
     """
-    if not mat:
-        return []
     h, u = row_hermite(_transpose(mat))
     return [sign_normalized(w) for w, row in zip(u, h) if not any(row)]
 

@@ -10,7 +10,7 @@ from itertools import count
 from operator import mul
 
 from . import intlinalg, polyhedra
-from .errors import MonoidHasUnits, require_rank, require_vector
+from .errors import MonoidHasUnits, require_rank, require_sequence, require_vector
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ def cone_from_generators(generators, rank):
     lineality basis vectors are primitive with first nonzero entry positive.
     """
     require_rank(rank, "rank")
-    if not generators:
+    if not require_sequence(generators, "generators"):
         raise ValueError("generator list must be nonempty")
     return _build([require_vector(g, rank, "generator") for g in generators], rank)
 

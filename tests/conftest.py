@@ -7,6 +7,7 @@ from itertools import combinations, count, product
 from math import lcm
 
 from bbcells import algebra, hilb, intlinalg, lattice, polyhedra
+from bbcells.errors import require_natural
 from bbcells.intlinalg import primitive, rank_of
 
 
@@ -243,6 +244,17 @@ def enumerated_poincare_histogram(d, w):
         dim = hilb.cell_dimension(hilb.ideal_from_partition(partition), w)
         counts[dim] = counts.get(dim, 0) + 1
     return dict(sorted(counts.items()))
+
+
+def enumerated_algebraize_check(quotient, monoid, weight_bound):
+    """algebra.algebraize_check by enumeration, kept as the oracle of its
+    proof: the Kempf search, then every standard monomial of Kempf degree at
+    most weight_bound, each of which must have J-order at most its Kempf
+    degree n_lambda, the level whose truncation has to keep it."""
+    kempf = lattice.kempf_vector(monoid).w
+    require_natural(weight_bound, "weight bound")
+    monomials = algebra._standard_monomials(quotient, monoid, weight_bound, kempf)
+    return all(order <= sum(a * b for a, b in zip(kempf, w)) for w, order in monomials)
 
 
 def random_weighting(rng, rank, n_vars, names=None, weight_pool=None):

@@ -12,6 +12,7 @@ from itertools import product
 from bbcells import algebra, hilb, lattice
 from bbcells.cli import main
 from conftest import (
+    enumerated_algebraize_check,
     random_homogeneous_presentation,
     random_monoid,
     random_monomial_quotient,
@@ -143,6 +144,8 @@ def test_criterion_4_stabilization_and_algebraization():
                 failures.append((trial, w, "stable value != dim A_w"))
         if not algebra.algebraize_check(quotient, monoid, 8):
             failures.append((trial, "algebraize_check false"))
+        if not enumerated_algebraize_check(quotient, monoid, 8):
+            failures.append((trial, "a monomial of J-order above n_lambda"))
     report(4, "stabilization and algebraization on 50 random quotients", failures)
 
 

@@ -16,6 +16,7 @@ from bbcells.errors import (
     WeightOutsideMonoid,
 )
 from conftest import (
+    enumerated_algebraize_check,
     random_homogeneous_presentation,
     random_monomial_quotient,
     random_pointed_monoid,
@@ -78,6 +79,9 @@ class TestCheckHomogeneous:
     def test_constant(self):
         assert algebra.check_homogeneous(poly([(5, (0, 0))]), W_XY) == (0,)
 
+    def test_zero_polynomial_has_the_zero_weight(self):
+        assert algebra.check_homogeneous(poly([]), W_XYZ) == (0,)
+
     def test_term_order_invariance(self):
         w = weighting(("x", (1,)), ("y", (1,)))
         a = poly([(1, (2, 0)), (2, (0, 2))])
@@ -99,6 +103,10 @@ class TestOutsiderVariables:
         w = weighting(("x", (1, -1)), ("y", (0, 1)))
         p = algebra.GradedPresentation(w, ())
         assert algebra.outsider_variables(p, N2) == ["x"]
+
+    def test_monoid_rank_must_be_the_torus_rank(self):
+        with pytest.raises(RankMismatch, match=r"^monoid rank 2 != torus rank 1$"):
+            algebra.outsider_variables(P_XY, N2)
 
 
 class TestBBPlus:
@@ -153,6 +161,14 @@ class TestFixedLocus:
         w = weighting(("x", (0,)), ("y", (0,)))
         p = algebra.GradedPresentation(w, (poly([(1, (1, 1))]),))
         assert algebra.fixed_locus(p) == p
+
+    def test_weights_given_as_lists(self):
+        # a weight is kept as the tuple its check returns: the list [0] once
+        # stayed a list, unequal to (0,), and fixed_locus dropped its variable
+        w = algebra.VariableWeighting(1, [["x", [0]], ["y", [1]]])
+        assert w.variables == (("x", (0,)), ("y", (1,)))
+        out = algebra.fixed_locus(algebra.GradedPresentation(w, ()))
+        assert out.weighting.variables == (("x", (0,)),)
 
     def test_no_zero_weights(self):
         w = weighting(("x", (1,)), ("y", (2,)))
@@ -324,6 +340,10 @@ NOT_EXACT = {
     ),
     "int_as_weight": (lambda: algebra.VariableWeighting(1, (("x", 5),)), ValueError),
     "int_as_monomial": (lambda: free12(3), ValueError),
+    # these two and a bare int as the generators of a monoid or as a
+    # partition once ended in a bare TypeError
+    "int_as_variables": (lambda: algebra.VariableWeighting(1, 3), ValueError),
+    "int_as_generators": (lambda: algebra.MonomialQuotient(W_XY, 3), ValueError),
     # make_polynomial once read these as the term (1, (1, 0)) and 1/2 * x
     "float_term_exponent": (lambda: poly([(1, (1.9, 0))]), ValueError),
     "float_coefficient": (lambda: poly([(0.5, (1, 0))]), ValueError),
@@ -357,6 +377,11 @@ def test_variable_name_must_be_a_string(name):
     assert str(err.value) == f"invalid variable name {name!r}"
 
 
+def test_variable_names_must_be_unique():
+    with pytest.raises(ValueError, match="^variable names must be unique$"):
+        weighting(("x", (1,)), ("x", (2,)))
+
+
 class TestAlgebraize:
     def test_free_algebra(self):
         q = algebra.MonomialQuotient(weighting(("x", (1,)), ("y", (2,))), ())
@@ -373,6 +398,60 @@ class TestAlgebraize:
             weighting(("x", (1,)), ("y", (1,))), ((1, 1),)
         )
         assert algebra.algebraize_check(q, N1, 5)
+
+    def test_runs_no_search_and_no_enumeration(self, monkeypatch):
+        # 6 variables of weights 1 and 2, pure cubes on all but the last: an
+        # enumeration visits every monomial of Kempf degree at most the
+        # bound, a number that grows like bound^6
+        names = "abcdef"
+        w = weighting(*((n, (1 + i % 2,)) for i, n in enumerate(names)))
+        cubes = [tuple(3 * (j == i) for j in range(6)) for i in range(5)]
+        q = algebra.MonomialQuotient(w, tuple(cubes))
+        monkeypatch.setattr(lattice, "kempf_vector", None)
+        monkeypatch.setattr(algebra, "_standard_monomials", None)
+        assert algebra.algebraize_check(q, N1, 10**6) is True
+
+
+UNITS_1 = lattice.cone_from_generators([(1,), (-1,)], 1)
+LINE_2 = lattice.cone_from_generators([(1, 0), (-1, 0)], 2)
+Z_FREE = weighting(("z", (0,)))
+
+
+# inputs that break two rules at once, with what algebraize_check raises:
+# its checks run in the order the enumeration once ran them
+ALGEBRAIZE_ORDER = {
+    "units_and_negative_bound": ((free12(), UNITS_1, -1), MonoidHasUnits),
+    "units_and_weight_outside": (
+        (algebra.MonomialQuotient(weighting(("x", (0, 1))), ()), LINE_2, 2),
+        MonoidHasUnits,
+    ),
+    "negative_bound_and_weight_outside": (
+        (algebra.MonomialQuotient(W_XY, ()), N1, -1), ValueError
+    ),
+    "weight_outside_and_no_pure_power": (
+        (algebra.MonomialQuotient(W_XYZ, ()), N1, 2), WeightOutsideMonoid
+    ),
+    "rank_mismatch_and_no_pure_power": (
+        (algebra.MonomialQuotient(Z_FREE, ()), N2, 2), RankMismatch
+    ),
+    "no_pure_power": ((algebra.MonomialQuotient(Z_FREE, ()), N1, 2), InfiniteDimension),
+    "bool_bound": ((free12(), N1, True), ValueError),
+    "valid": ((algebra.MonomialQuotient(Z_FREE, ((2,),)), N1, 2), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ALGEBRAIZE_ORDER))
+@pytest.mark.parametrize(
+    "check", [algebra.algebraize_check, enumerated_algebraize_check],
+    ids=["proof", "enumeration"],
+)
+def test_algebraize_error_order(case, check):
+    args, error = ALGEBRAIZE_ORDER[case]
+    if error is None:
+        assert check(*args) is True
+    else:
+        with pytest.raises(error):
+            check(*args)
 
 
 class TestRandomInvariants:
@@ -428,6 +507,8 @@ class TestRandomInvariants:
                     assert stable[0] == algebra.graded_dimension(
                         quotient, monoid, w
                     )
+            assert algebra.algebraize_check(quotient, monoid, 6)
+            assert enumerated_algebraize_check(quotient, monoid, 6)
 
 
 def quotient_with_zero_weights(rng, monoid):
@@ -515,6 +596,7 @@ class TestCountingOracle:
                     assert report.limit_dimension == full
                 checked += 1
             assert algebra.algebraize_check(quotient, monoid, self.LEVEL)
+            assert enumerated_algebraize_check(quotient, monoid, self.LEVEL)
         assert checked > 50
 
 

@@ -69,6 +69,22 @@ GOLDEN_CASES = [
         ["algebra", "algebraize", "-i", data("quot_free12.json"),
          "-m", data("monoid_n.json"), "--bound", "6", "--json"],
     ),
+    # monomial generators, and a zero-weight variable bounded by its pure power
+    (
+        "algebra_truncate_pure_power",
+        ["algebra", "truncate", "-i", data("quot_pure_power.json"),
+         "-m", data("monoid_n.json"), "-n", "3", "--json"],
+    ),
+    (
+        "algebra_stabilize_pure_power",
+        ["algebra", "stabilize", "-i", data("quot_pure_power.json"),
+         "-m", data("monoid_n.json"), "-w", "4", "-n", "4", "--json"],
+    ),
+    (
+        "algebra_algebraize_pure_power",
+        ["algebra", "algebraize", "-i", data("quot_pure_power.json"),
+         "-m", data("monoid_n.json"), "--bound", "6", "--json"],
+    ),
     ("hilb_fixed_points", ["hilb", "fixed-points", "-d", "3", "--json"]),
     ("hilb_tangent", ["hilb", "tangent", "-d", "2", "--json"]),
     ("hilb_cells", ["hilb", "cells", "-d", "2", "-w", "1,3", "--json"]),
@@ -269,8 +285,9 @@ class TestErrorPaths:
                 "", f"error[bad-input]: missing key '{key}'\n"
             )
 
-    # messages of the exact-input checks in bbcells.errors; the documents are
-    # (file name, JSON) pairs written next to the test
+    # messages of the exact-input checks in bbcells.errors and of the monomial
+    # rule of the quotient loader; the documents are (file name, JSON) pairs
+    # written next to the test
     @pytest.mark.parametrize("argv, docs, err", [
         (["monoid", "analyze", "-i", "{gen}"],
          {"gen": {"rank": 1, "generators": [[1, 0]]}},
@@ -288,10 +305,20 @@ class TestErrorPaths:
          "error[bad-input]: d must be a nonnegative integer"),
         (["hilb", "cells", "-d", "-1"], {},
          "error[bad-input]: d must be a nonnegative integer"),
+        (["hilb", "cells", "-d", "-1", "-w", "1,3"], {},
+         "error[bad-input]: d must be a nonnegative integer"),
         (["hilb", "poincare", "-d", "-1"], {},
          "error[bad-input]: d must be a nonnegative integer"),
+        (["hilb", "intersect", "-d", "-1", "-w", "1,3", "-w", "3,1"], {},
+         "error[bad-input]: d must be a nonnegative integer"),
+        (["algebra", "truncate", "-i", "{quot}", "-m", data("monoid_n.json"), "-n", "1"],
+         {"quot": {"torus_rank": 1, "monomial_generators": ["x + y"],
+                   "variables": [{"name": "x", "weight": [1]},
+                                 {"name": "y", "weight": [1]}]}},
+         "error[domain-error]: not a monomial: 'x + y'"),
     ], ids=["generator", "variable_weight", "stabilize_weight", "level", "bound",
-            "fixed_points_d", "cells_d", "poincare_d"])
+            "fixed_points_d", "cells_d", "cells_d_with_weight", "poincare_d",
+            "intersect_d", "not_a_monomial"])
     def test_exact_input_errors_are_pinned(self, argv, docs, err, tmp_path, capsys):
         paths = {}
         for name, doc in docs.items():
@@ -426,12 +453,21 @@ REJECTED = {
     ),
     "number_as_relation": ("algebra", dict(FIXED_GOOD, relations=[5])),
     "string_as_relations": ("algebra", dict(FIXED_GOOD, relations="x")),
+    # bytes are written as they are: a dict cannot hold a key twice
+    "duplicate_key": ("monoid", b'{"rank": 1, "rank": 2, "generators": [[1]]}'),
+    "duplicate_nested_key": (
+        "algebra",
+        b'{"torus_rank": 1, "variables": [{"name": "x", "weight": [1], "weight": [2]}]}',
+    ),
 }
 
 
 def _run_on_document(tmp_path, group, doc):
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(doc))
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(json.dumps(doc))
     if group == "monoid":
         return main(["monoid", "analyze", "-i", str(path), "--json"])
     return main(["algebra", "fixed", "-i", str(path), "--json"])
@@ -581,6 +617,17 @@ class TestStrictInputs:
             captured = capsys.readouterr()
             assert (captured.out, captured.err) == (
                 "", "error[bad-input]: invalid variable name 5\n"
+            )
+
+    # the last value once won: this document read as rank 2
+    def test_duplicate_key_is_pinned(self, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text('{"rank": 1, "rank": 2, "generators": [[1]]}')
+        for mode in ([], ["--json"]):
+            assert main(["monoid", "analyze", "-i", str(path), *mode]) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (
+                "", "error[bad-input]: duplicate key 'rank'\n"
             )
 
     def test_decimal_strings_match_integers(self, tmp_path, capsys):

@@ -93,6 +93,9 @@ class TestIdealFromPartition:
         for partition in ((True,), (1.5,), (2, 1.0)):
             with pytest.raises(ValueError):
                 hilb.ideal_from_partition(partition)
+        # once a bare TypeError: 'int' object is not iterable
+        with pytest.raises(ValueError, match="^partition 5 is not a list or tuple$"):
+            hilb.ideal_from_partition(5)
 
 
 class TestTangentCharacters:
@@ -245,10 +248,15 @@ class TestPoincare:
             histogram = hilb.poincare_histogram(d, hilb.default_generic_weight(d))
             assert histogram[2 * d] == 1
 
-    @pytest.mark.parametrize("d", [-1, 2.0, True])
+    # is_generic(2.5, (1, 3)) once returned True, and
+    # default_generic_weight(2.5) returned (1, 3.5)
+    @pytest.mark.parametrize("d", [-1, 2.0, 2.5, True])
     def test_d_must_be_a_nonnegative_integer(self, d):
-        with pytest.raises(ValueError, match="^d must be a nonnegative integer$"):
-            hilb.poincare_histogram(d, (1, 3))
+        for call in (lambda: hilb.poincare_histogram(d, (1, 3)),
+                     lambda: hilb.is_generic(d, (1, 3)),
+                     lambda: hilb.default_generic_weight(d)):
+            with pytest.raises(ValueError, match="^d must be a nonnegative integer$"):
+                call()
 
     def test_non_generic_weight_rejected(self):
         with pytest.raises(NonGenericWeight) as err:

@@ -52,6 +52,9 @@ class TestConeFromGenerators:
             lattice.cone_from_generators([(1, 0)], 1)
         with pytest.raises(ValueError, match="^generator 5 is not a list or tuple$"):
             lattice.cone_from_generators([5], 1)
+        # once a bare TypeError: 'int' object is not iterable
+        with pytest.raises(ValueError, match="^generators 5 is not a list or tuple$"):
+            lattice.cone_from_generators(5, 1)
 
     @pytest.mark.parametrize("entry", [1.9, 1.0, True, False, "1", Fraction(1)])
     def test_rejects_entries_that_are_not_integers(self, entry):

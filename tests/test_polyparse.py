@@ -86,6 +86,12 @@ class TestParseErrors:
         with pytest.raises(ExponentOverflow):
             parse_polynomial("x^2147483648", XYZ)
 
+    def test_accumulated_exponent_overflow(self):
+        # each exponent is within the cap, their sum is not
+        with pytest.raises(ExponentOverflow,
+                           match="^accumulated exponent exceeds the cap$"):
+            parse_polynomial("x^2147483647*x", XYZ)
+
     def test_exponent_at_the_cap(self):
         p = parse_polynomial("x^02147483647", XYZ)
         assert p.terms == ((Fraction(1), (2**31 - 1, 0, 0)),)
