@@ -22,6 +22,7 @@ from .errors import (
     NotMinimalPresentation,
     RankMismatch,
     WeightOutsideMonoid,
+    require_instance,
     require_natural,
     require_rank,
     require_sequence,
@@ -38,7 +39,10 @@ class VariableWeighting:
 
     def __post_init__(self):
         require_rank(self.torus_rank, "torus rank")
-        for name, _ in require_sequence(self.variables, "variables"):
+        for entry in require_sequence(self.variables, "variables"):
+            if len(require_sequence(entry, "variable")) != 2:
+                raise ValueError(f"variable {entry!r} is not a (name, weight) pair")
+            name = entry[0]
             if not isinstance(name, str) or not _IDENT.match(name):
                 raise ValueError(f"invalid variable name {name!r}")
         if len(set(self.names)) != len(self.names):
@@ -110,8 +114,10 @@ class GradedPresentation:
     relations: tuple  # tuple of GradedPolynomial
 
     def __post_init__(self):
-        for rel in self.relations:
-            check_homogeneous(rel, self.weighting)
+        require_instance(self.weighting, VariableWeighting, "weighting")
+        for rel in require_sequence(self.relations, "relations"):
+            check_homogeneous(require_instance(rel, GradedPolynomial, "relation"),
+                              self.weighting)
 
 
 @dataclass(frozen=True)
@@ -122,6 +128,7 @@ class MonomialQuotient:
     minimal_generators: tuple  # tuple of exponent tuples, an antichain
 
     def __post_init__(self):
+        require_instance(self.weighting, VariableWeighting, "weighting")
         nvars = len(self.weighting.variables)
         gens = require_sequence(self.minimal_generators, "minimal generators")
         gens = [_require_exponents(g, nvars) for g in gens]
@@ -342,6 +349,8 @@ def stabilization_check(quotient, monoid, weight, n_max):
     dimension at level n counts the monomials of the weight of J-order <= n.
     """
     weight, n_lambda, orders = _weight_orders(quotient, monoid, weight)
+    if type(n_max) is not int:
+        raise ValueError("n_max must be an integer")
     by_order = [0] * (n_max + 1)
     for order in orders:
         if order <= n_max:

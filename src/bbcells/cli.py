@@ -392,7 +392,3 @@ def main(argv=None):
         return 0
     finally:
         sys.set_int_max_str_digits(limit)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -82,6 +82,13 @@ def require_sequence(values, what):
     return tuple(values)
 
 
+def require_instance(value, cls, what):
+    """The value, which must be an instance of cls."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{what} {value!r} is not a {cls.__name__}")
+    return value
+
+
 def require_vector(values, length, what):
     """The tuple of values, which must be a list or tuple of `length` ints;
     bool, a subclass of int, is rejected too."""

@@ -22,7 +22,6 @@ from .errors import NonGenericWeight, require_natural, require_sequence, require
 @dataclass(frozen=True)
 class MonomialIdealPlane:
     partition: tuple  # weakly decreasing positive parts
-    minimal_generators: tuple  # staircase corners (a, b), a increasing
 
 
 def partitions(d):
@@ -59,14 +58,7 @@ def ideal_from_partition(partition):
         a < b for a, b in zip(partition, partition[1:])
     ):
         raise ValueError("parts must be positive integers, weakly decreasing")
-    rows = len(partition)
-    # corners: y^rows, and (partition[b], b) at each strict drop of the staircase
-    gens = [(0, rows)]
-    for b in range(rows):
-        if b == 0 or partition[b] < partition[b - 1]:
-            gens.append((partition[b], b))
-    gens = sorted(gens)
-    return MonomialIdealPlane(partition=partition, minimal_generators=tuple(gens))
+    return MonomialIdealPlane(partition=partition)
 
 
 def standard_exponents(partition):
@@ -94,6 +86,13 @@ def tangent_character_armleg(ideal):
     return entries
 
 
+def _corners(partition):
+    """Staircase corners (a, b), a increasing, the minimal generators x^a y^b:
+    y^rows, and (partition[b], b) at each strict drop of the staircase."""
+    drops = [(p, b) for b, p in enumerate(partition) if b == 0 or p < partition[b - 1]]
+    return tuple(sorted(drops + [(0, len(partition))]))
+
+
 def tangent_character_linalg(ideal):
     """Tangent character by degreewise linear algebra on Hom(M, S/M).
 
@@ -105,7 +104,7 @@ def tangent_character_linalg(ideal):
     of the diagram can carry a homomorphism.
     """
     partition = ideal.partition
-    gens = ideal.minimal_generators
+    gens = _corners(partition)
     shifts = {
         (a - ga, b - gb)
         for a, b in standard_exponents(partition)

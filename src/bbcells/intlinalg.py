@@ -39,55 +39,47 @@ def _mul(a, b):
 
 
 def row_hermite(mat):
-    """Row-style Hermite normal form.
-
-    Returns (h, u) with u unimodular and u @ mat = h, h in row echelon form
-    with positive pivots and entries above each pivot reduced.
-    """
-    h = [list(row) for row in mat]
-    rows = len(h)
-    cols = len(h[0]) if rows else 0
-    u = identity(rows)
+    """Row-style Hermite normal form: (h, u) with u unimodular, u @ mat = h,
+    and h in row echelon form with positive pivots, the entries above each
+    pivot in [0, pivot) and zero rows last.  One elimination on the rows of
+    [mat | I] leaves h as its left block and u as its right one."""
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    a = [list(row) + e for row, e in zip(mat, identity(rows))]
     pivot_row = 0
     for col in range(cols):
         # find a row at or below pivot_row with nonzero entry in this column
-        nz = [i for i in range(pivot_row, rows) if h[i][col] != 0]
+        nz = [i for i in range(pivot_row, rows) if a[i][col] != 0]
         if not nz:
             continue
         # euclidean elimination within the column
         while len(nz) > 1:
-            nz.sort(key=lambda i: abs(h[i][col]))
+            nz.sort(key=lambda i: abs(a[i][col]))
             i0 = nz[0]
             for i in nz[1:]:
-                q = h[i][col] // h[i0][col]
-                h[i] = [a - q * b for a, b in zip(h[i], h[i0])]
-                u[i] = [a - q * b for a, b in zip(u[i], u[i0])]
-            nz = [i for i in nz if h[i][col] != 0]
+                q = a[i][col] // a[i0][col]
+                a[i] = [x - q * y for x, y in zip(a[i], a[i0])]
+            nz = [i for i in nz if a[i][col] != 0]
         i0 = nz[0]
-        if i0 != pivot_row:
-            h[i0], h[pivot_row] = h[pivot_row], h[i0]
-            u[i0], u[pivot_row] = u[pivot_row], u[i0]
-        if h[pivot_row][col] < 0:
-            h[pivot_row] = [-a for a in h[pivot_row]]
-            u[pivot_row] = [-a for a in u[pivot_row]]
-        p = h[pivot_row][col]
+        a[i0], a[pivot_row] = a[pivot_row], a[i0]
+        if a[pivot_row][col] < 0:
+            a[pivot_row] = [-x for x in a[pivot_row]]
+        p = a[pivot_row][col]
         for i in range(pivot_row):
-            q = h[i][col] // p
+            q = a[i][col] // p
             if q:
-                h[i] = [a - q * b for a, b in zip(h[i], h[pivot_row])]
-                u[i] = [a - q * b for a, b in zip(u[i], u[pivot_row])]
+                a[i] = [x - q * y for x, y in zip(a[i], a[pivot_row])]
         pivot_row += 1
-    return h, u
+    return [row[:cols] for row in a], [row[cols:] for row in a]
 
 
-def kernel_basis(mat):
-    """Basis of the integer kernel {v in Z^c : mat @ v = 0}.
-
-    The kernel of an integer matrix is a saturated sublattice, so this basis
-    generates it over Z.  Computed via the Hermite form of the transpose:
-    rows of u that multiply mat^T to zero span the kernel.
+def kernel_basis(mat, cols):
+    """Basis of the integer kernel {v in Z^cols : mat @ v = 0} of a matrix
+    with cols columns, the identity when it has no rows.  The kernel is a
+    saturated sublattice, so this basis generates it over Z: the rows of u in
+    the Hermite form of mat^T that multiply it to zero.
     """
-    h, u = row_hermite(_transpose(mat))
+    h, u = row_hermite([[row[j] for row in mat] for j in range(cols)])
     return [sign_normalized(w) for w, row in zip(u, h) if not any(row)]
 
 

@@ -41,9 +41,7 @@ class LatticeProjection:
 def _build(generators, rank):
     gens = tuple(generators)
     normals = tuple(polyhedra.cone_inequalities(gens, rank))
-    # with no constraints the cone is all of Q^rank
-    lineality = (intlinalg.kernel_basis([list(a) for a in normals]) if normals
-                 else intlinalg.identity(rank))
+    lineality = intlinalg.kernel_basis(normals, rank)
     return AffineMonoid(
         rank=rank,
         generators=gens,

@@ -74,7 +74,7 @@ def cone_inequalities(generators, dim):
     one-signed on the cone.
     """
     gens = sorted({tuple(g) for g in generators if any(g)})
-    annihilator = intlinalg.kernel_basis(gens) if gens else intlinalg.identity(dim)
+    annihilator = intlinalg.kernel_basis(gens, dim)
     equations = intlinalg.row_hermite(annihilator)[0]
     r = dim - len(equations)
     normals = set()

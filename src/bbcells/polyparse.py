@@ -15,7 +15,9 @@ import re
 from fractions import Fraction
 
 from .algebra import GradedPolynomial, make_polynomial
-from .errors import ExponentOverflow, PolynomialSyntaxError, UnknownVariable
+from .errors import (
+    ExponentOverflow, PolynomialSyntaxError, UnknownVariable, require_instance
+)
 
 MAX_EXPONENT = 2**31 - 1
 MAX_DIGITS = 4300  # of a coefficient or denominator, as int() takes by default
@@ -63,7 +65,7 @@ def parse_polynomial(text, variables):
     """
     variables = list(variables)
     index = {name: i for i, name in enumerate(variables)}
-    toks = _tokens(text)
+    toks = _tokens(require_instance(text, str, "polynomial text"))
     sign = -1 if _take(toks, "-") else 1
     terms = [_parse_term(toks, index, len(variables), sign)]
     while toks[-1][1] in ("+", "-"):

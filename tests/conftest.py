@@ -156,16 +156,12 @@ def kernel_cone_inequalities(generators, dim):
     """Facet route before signed minors, kept byte for byte as an oracle:
     one Hermite kernel of r-1 generators and the span equations per subset,
     taken when it is a single vector that is one-signed on the cone."""
-
-    def kernel(rows):
-        return intlinalg.kernel_basis(rows) if rows else intlinalg.identity(dim)
-
     gens = sorted({tuple(g) for g in generators if any(g)})
-    equations = intlinalg.row_hermite(kernel(gens))[0]
+    equations = intlinalg.row_hermite(intlinalg.kernel_basis(gens, dim))[0]
     r = dim - len(equations)
     normals = set()
     for subset in combinations(gens, r - 1) if r > 0 else ():
-        basis = kernel(list(subset) + equations)
+        basis = intlinalg.kernel_basis(list(subset) + equations, dim)
         if len(basis) != 1:
             continue
         a = basis[0]

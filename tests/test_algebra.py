@@ -269,6 +269,15 @@ class TestStabilization:
         assert report.stable
         assert report.limit_dimension == 2
 
+    @pytest.mark.parametrize("n_max", [2.0, True])
+    def test_level_must_be_an_int(self, n_max):
+        # 2.0 once ended in a bare TypeError; the weight is checked first
+        q = algebra.MonomialQuotient(weighting(("x", (1,)), ("y", (2,))), ())
+        with pytest.raises(ValueError, match="^n_max must be an integer$"):
+            algebra.stabilization_check(q, N1, (3,), n_max)
+        with pytest.raises(RankMismatch):
+            algebra.stabilization_check(q, N1, (3, 5), n_max)
+
     def test_work_does_not_grow_with_the_level(self):
         # a pass bounded by J-order took 84.8 s (2 shared vCPUs, Python 3.11.7)
         # on this case, whose answer has 7 monomials
@@ -344,6 +353,14 @@ NOT_EXACT = {
     # partition once ended in a bare TypeError
     "int_as_variables": (lambda: algebra.VariableWeighting(1, 3), ValueError),
     "int_as_generators": (lambda: algebra.MonomialQuotient(W_XY, 3), ValueError),
+    # inner shapes: these once ended in Python's own TypeError, AttributeError
+    # or unpacking ValueError, or for GradedPresentation(5, ()) in no error
+    "int_as_variable": (lambda: algebra.VariableWeighting(1, (5,)), ValueError),
+    "short_variable": (lambda: algebra.VariableWeighting(1, (("x",),)), ValueError),
+    "int_as_relations": (lambda: algebra.GradedPresentation(W_XY, 5), ValueError),
+    "int_as_relation": (lambda: algebra.GradedPresentation(W_XY, (5,)), ValueError),
+    "int_as_weighting": (lambda: algebra.GradedPresentation(5, ()), ValueError),
+    "int_as_quotient_weighting": (lambda: algebra.MonomialQuotient(5, ()), ValueError),
     # make_polynomial once read these as the term (1, (1, 0)) and 1/2 * x
     "float_term_exponent": (lambda: poly([(1, (1.9, 0))]), ValueError),
     "float_coefficient": (lambda: poly([(0.5, (1, 0))]), ValueError),

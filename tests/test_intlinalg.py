@@ -1,5 +1,7 @@
 import random
+from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bbcells import intlinalg
@@ -12,6 +14,8 @@ def random_matrix(rng, rows, cols, bound=5):
 
 def det(mat):
     n = len(mat)
+    if n == 0:
+        return 1
     if n == 1:
         return mat[0][0]
     total = 0
@@ -21,39 +25,80 @@ def det(mat):
     return total
 
 
-def test_hermite_transform_is_unimodular():
+def hermite_inputs():
+    """Random matrices up to 4 x 4, then the 0 x 0 matrix, matrices with no
+    columns and the zero matrix."""
     rng = random.Random(7)
-    for _ in range(30):
+    for _ in range(60):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-        mat = random_matrix(rng, rows, cols)
+        yield random_matrix(rng, rows, cols)
+    yield from ([], [[]], [[], [], []], [[0] * 3 for _ in range(2)])
+
+
+def random_unimodular(rng, n):
+    """A product of elementary row operations, negations and swaps."""
+    u = intlinalg.identity(n)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            q = rng.randint(-3, 3)
+            u[i] = [a + q * b for a, b in zip(u[i], u[j])]
+            u[i], u[j] = u[j], u[i]
+        u[i] = [-a for a in u[i]]
+    return u
+
+
+def test_hermite_transform_is_unimodular():
+    for mat in hermite_inputs():
         h, u = intlinalg.row_hermite(mat)
         assert mat_mul(u, mat) == h
-        assert abs(det(u)) == 1
+        assert len(u) == len(mat) and abs(det(u)) == 1
 
 
 def test_hermite_is_echelon_with_positive_pivots():
-    rng = random.Random(8)
-    for _ in range(30):
-        mat = random_matrix(rng, 3, 3)
+    for mat in hermite_inputs():
         h, _ = intlinalg.row_hermite(mat)
         pivots = []
-        for row in h:
+        for i, row in enumerate(h):
             nz = [j for j, x in enumerate(row) if x != 0]
-            if nz:
-                pivots.append(nz[0])
-                assert row[nz[0]] > 0
-        assert pivots == sorted(pivots)
+            if not nz:
+                assert not any(any(r) for r in h[i:])
+                break
+            p = nz[0]
+            pivots.append(p)
+            assert row[p] > 0
+            assert all(0 <= h[k][p] < row[p] for k in range(i))
+        assert pivots == sorted(set(pivots))
+
+
+def test_hermite_form_depends_only_on_the_row_lattice():
+    rng = random.Random(8)
+    for mat in hermite_inputs():
+        u = random_unimodular(rng, len(mat))
+        assert intlinalg.row_hermite(mat_mul(u, mat))[0] == intlinalg.row_hermite(mat)[0]
 
 
 def test_kernel_vectors_annihilate_and_span():
     rng = random.Random(9)
     for _ in range(40):
-        rows, cols = rng.randint(1, 3), rng.randint(1, 4)
+        rows, cols = rng.randint(0, 3), rng.randint(1, 4)
         mat = random_matrix(rng, rows, cols, bound=3)
-        basis = intlinalg.kernel_basis(mat)
+        basis = intlinalg.kernel_basis(mat, cols)
         for v in basis:
             assert all(x == 0 for x in intlinalg.mat_vec(mat, v))
         assert len(basis) == cols - intlinalg.rank_of(mat)
+        # the span is saturated: each kernel vector of the box [-2, 2]^cols
+        # is an integer combination of the basis
+        columns = [[v[i] for v in basis] for i in range(cols)]
+        for k in product(range(-2, 3), repeat=cols):
+            if not any(intlinalg.mat_vec(mat, k)):
+                coeffs = solve_exact(columns, k)
+                assert coeffs is not None and all(c.denominator == 1 for c in coeffs)
+
+
+@pytest.mark.parametrize("cols", range(5))
+def test_kernel_of_no_rows_is_the_identity(cols):
+    assert intlinalg.kernel_basis([], cols) == intlinalg.identity(cols)
 
 
 def smith_inputs():
@@ -141,8 +186,8 @@ def test_fraction_free_elimination_matches_fraction_oracle(drawn):
         for j in range(d)
     ]
     assert any(minors) == (rank == d - 1)
-    if mat and rank == d - 1:
-        (k,) = intlinalg.kernel_basis(mat)
+    if rank == d - 1:
+        (k,) = intlinalg.kernel_basis(mat, d)
         assert intlinalg.primitive(minors) in (k, [-x for x in k])
 
 

@@ -476,7 +476,7 @@ def test_reduce_to_zero_property(m):
     # the kernel of the matrix is the unit lattice: it holds every unit, and
     # each kernel basis vector is an integer combination of the units
     assert all(not any(intlinalg.mat_vec(rows, u)) for u in units)
-    kernel = intlinalg.kernel_basis(rows) if rows else intlinalg.identity(m.rank)
+    kernel = intlinalg.kernel_basis(rows, m.rank)
     assert len(kernel) == len(units)
     columns = [[u[i] for u in units] for i in range(m.rank)]
     for k in kernel:

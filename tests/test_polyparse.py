@@ -63,6 +63,11 @@ class TestParse:
 
 
 class TestParseErrors:
+    def test_text_must_be_a_string(self):
+        # once a bare TypeError from the tokenizer
+        with pytest.raises(ValueError, match="^polynomial text 5 is not a str$"):
+            parse_polynomial(5, XYZ)
+
     def test_unknown_variable_with_name(self):
         with pytest.raises(UnknownVariable) as err:
             parse_polynomial("x*w", XYZ)
