@@ -83,11 +83,14 @@ def _require_exponents(exps, nvars):
 
 
 def make_polynomial(terms):
-    """Canonical GradedPolynomial from (coeff, exponents) pairs: an int or
-    Fraction coefficient and non-negative int exponents, as many in every term
-    as in the first, else ValueError or RankMismatch."""
+    """Canonical GradedPolynomial from a list or tuple of (coeff, exponents)
+    pairs: an int or Fraction coefficient and non-negative int exponents, as
+    many in every term as in the first, else ValueError or RankMismatch."""
     merged = {}
-    for coeff, exps in terms:
+    for term in require_sequence(terms, "terms"):
+        if len(require_sequence(term, "term")) != 2:
+            raise ValueError(f"term {term!r} is not a (coefficient, exponents) pair")
+        coeff, exps = term
         if type(coeff) is not int and not isinstance(coeff, Fraction):
             raise ValueError(f"coefficient {coeff!r} is not an int or a Fraction")
         if not merged:
@@ -257,9 +260,8 @@ def open_immersion_check(presentation, monoid):
 
 
 def _counting_plan(quotient, monoid):
-    """Every check a count needs, then the indices of the nonzero-weight
-    variables and {index: least pure power} for the zero-weight ones; with no
-    pure power, a weight-graded component is infinite dimensional."""
+    """Every check a count needs, then each variable's least pure power in the
+    ideal or None; a zero-weight variable without one raises InfiniteDimension."""
     w = quotient.weighting
     outside = outsider_variables(quotient, monoid)
     if outside:
@@ -267,19 +269,16 @@ def _counting_plan(quotient, monoid):
         raise WeightOutsideMonoid(
             f"variable {name} has weight {dict(w.variables)[name]} outside the monoid"
         )
-    pos_idx, bounds = [], {}
+    caps = []
     for i, (name, weight) in enumerate(w.variables):
-        if any(weight):
-            pos_idx.append(i)
-            continue
         powers = [g[i] for g in quotient.minimal_generators if 0 < g[i] == sum(g)]
-        if not powers:
+        if not powers and not any(weight):
             raise InfiniteDimension(
                 f"zero-weight variable {name} has no pure power in the ideal; "
                 "graded components are infinite dimensional"
             )
-        bounds[i] = min(powers)
-    return pos_idx, bounds
+        caps.append(min(powers, default=None))
+    return caps
 
 
 def _pairing(a, b):
@@ -291,24 +290,24 @@ def _standard_monomials(quotient, monoid, budget, kempf=None):
 
     Each nonzero-weight variable costs 1, so the cost is the J-order, or its
     Kempf degree when a Kempf vector is given, which is at least the J-order.
-    Zero-weight variables cost nothing and stay below their pure-power bounds.
+    Zero-weight variables cost nothing.  No exponent reaches its variable's
+    least pure power, which would divide the monomial, so a zero-weight
+    variable must have one.
     """
-    pos_idx, bounds = _counting_plan(quotient, monoid)
     w = quotient.weighting
-    costs = {
-        i: 1 if kempf is None else _pairing(kempf, w.variables[i][1]) for i in pos_idx
-    }
-    level = [((0,) * len(w.variables), 0)]
-    for i in pos_idx + list(bounds):
-        c = costs.get(i, 0)
+    level = [((), 0, 0)]
+    for cap, (_, weight) in zip(_counting_plan(quotient, monoid), w.variables):
+        step = 1 if any(weight) else 0
+        c = step if kempf is None else _pairing(kempf, weight)
+        # a nonzero-weight variable costs at least 1, so budget + 1 caps it
         level = [
-            (exps[:i] + (e,) + exps[i + 1:], cost + e * c)
-            for exps, cost in level
-            for e in range(bounds[i] if i in bounds else (budget - cost) // c + 1)
+            (exps + (e,), cost + e * c, order + e * step)
+            for exps, cost, order in level
+            for e in range(min(cap or budget + 1, (budget - cost) // c + 1) if c else cap)
         ]
-    for exps, _ in level:
+    for exps, _, order in level:
         if not any(_divides(g, exps) for g in quotient.minimal_generators):
-            yield _weight(exps, w), sum(exps[i] for i in pos_idx)
+            yield _weight(exps, w), order
 
 
 def truncate(quotient, monoid, n):

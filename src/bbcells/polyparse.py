@@ -16,7 +16,8 @@ from fractions import Fraction
 
 from .algebra import GradedPolynomial, make_polynomial
 from .errors import (
-    ExponentOverflow, PolynomialSyntaxError, UnknownVariable, require_instance
+    ExponentOverflow, PolynomialSyntaxError, UnknownVariable, require_instance,
+    require_sequence, require_vector,
 )
 
 MAX_EXPONENT = 2**31 - 1
@@ -57,13 +58,23 @@ def _number(toks):
     return int(digits), offset
 
 
+def _names(variables):
+    """The tuple of variables, which must be a list or tuple of distinct strs."""
+    names = require_sequence(variables, "variables")
+    for name in names:
+        require_instance(name, str, "variable name")
+    if len(set(names)) != len(names):
+        raise ValueError("variable names must be unique")
+    return names
+
+
 def parse_polynomial(text, variables):
     """Canonical GradedPolynomial from a source string.
 
-    `variables` is the ordered list of declared names; exponent tuples follow
-    that order.
+    `variables` lists the distinct declared names; exponent tuples follow
+    their order.
     """
-    variables = list(variables)
+    variables = _names(variables)
     index = {name: i for i, name in enumerate(variables)}
     toks = _tokens(require_instance(text, str, "polynomial text"))
     sign = -1 if _take(toks, "-") else 1
@@ -111,15 +122,17 @@ def _parse_term(toks, index, nvars, sign):
 
 
 def print_polynomial(poly, variables):
-    """Canonical source string; the empty sum prints as '0'."""
+    """Canonical source string; the empty sum prints as '0'.  Each exponent
+    tuple must have one entry per variable, else RankMismatch."""
+    require_instance(poly, GradedPolynomial, "polynomial")
+    variables = _names(variables)
     if poly.is_zero:
         return "0"
-    variables = list(variables)
     pieces = []
     for k, (coeff, exps) in enumerate(poly.terms):
         mag = abs(coeff)
         factors = []
-        for name, e in zip(variables, exps):
+        for name, e in zip(variables, require_vector(exps, len(variables), "monomial")):
             if e == 1:
                 factors.append(name)
             elif e > 1:

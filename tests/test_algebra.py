@@ -235,6 +235,28 @@ class TestTruncate:
         q = algebra.MonomialQuotient(w, ((2, 0),))
         assert algebra.truncate(q, N1, 1) == {(0,): 2, (1,): 2}
 
+    def test_pure_powers_cap_nonzero_weight_variables(self):
+        # weights 1 and 2 alternating, a pure cube on all but the last of 5
+        # variables: a pass that capped only zero-weight variables took 3 to
+        # 5 s (2 shared vCPUs, Python 3.11.7), visiting every exponent of
+        # J-order at most 40
+        k, n = 5, 40
+        weights = [1 + i % 2 for i in range(k)]
+        w = weighting(*((f"x{i}", (wt,)) for i, wt in enumerate(weights)))
+        cubes = tuple(tuple(3 * (j == i) for j in range(k)) for i in range(k - 1))
+        q = algebra.MonomialQuotient(w, cubes)
+        start = time.perf_counter()
+        dims = algebra.truncate(q, N1, n)
+        assert time.perf_counter() - start < 1.0
+        # the capped exponents, then every exponent of the free last variable
+        # that keeps the J-order at most n
+        expected = Counter()
+        for capped in product(range(3), repeat=k - 1):
+            weight = sum(e * wt for e, wt in zip(capped, weights))
+            for free in range(n - sum(capped) + 1):
+                expected[(weight + free * weights[-1],)] += 1
+        assert dims == expected
+
 
 class TestStabilization:
     def test_free_algebra_weight_three(self):
@@ -369,6 +391,10 @@ NOT_EXACT = {
     "bool_term_exponent": (lambda: poly([(1, (True, 0))]), ValueError),
     "negative_term_exponent": (lambda: poly([(1, (0, -1))]), ValueError),
     "int_as_term_exponents": (lambda: poly([(1, 5)]), ValueError),
+    # the first two once ended in a bare TypeError
+    "int_as_terms": (lambda: poly(5), ValueError),
+    "int_as_term": (lambda: poly([5]), ValueError),
+    "short_term": (lambda: poly([(1,)]), ValueError),
     "mixed_term_lengths": (lambda: poly([(1, (1, 0)), (1, (1,))]), RankMismatch),
 }
 

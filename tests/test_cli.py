@@ -85,6 +85,17 @@ GOLDEN_CASES = [
         ["algebra", "algebraize", "-i", data("quot_pure_power.json"),
          "-m", data("monoid_n.json"), "--bound", "6", "--json"],
     ),
+    # pure powers on the nonzero-weight variables x and y as well as on z
+    (
+        "algebra_truncate_capped",
+        ["algebra", "truncate", "-i", data("quot_capped.json"),
+         "-m", data("monoid_n.json"), "-n", "3", "--json"],
+    ),
+    (
+        "algebra_stabilize_capped",
+        ["algebra", "stabilize", "-i", data("quot_capped.json"),
+         "-m", data("monoid_n.json"), "-w", "4", "-n", "3", "--json"],
+    ),
     ("hilb_fixed_points", ["hilb", "fixed-points", "-d", "3", "--json"]),
     ("hilb_tangent", ["hilb", "tangent", "-d", "2", "--json"]),
     ("hilb_cells", ["hilb", "cells", "-d", "2", "-w", "1,3", "--json"]),

@@ -7,6 +7,7 @@ from bbcells.algebra import make_polynomial
 from bbcells.errors import (
     ExponentOverflow,
     PolynomialSyntaxError,
+    RankMismatch,
     UnknownVariable,
 )
 from bbcells.polyparse import parse_polynomial, print_polynomial
@@ -124,6 +125,40 @@ class TestParseErrors:
     def test_coefficient_after_star(self):
         with pytest.raises(PolynomialSyntaxError):
             parse_polynomial("x*2", XYZ)
+
+
+XY = parse_polynomial("x*y", ["x", "y"])
+
+# calls given a bare int, a string or repeated names for the variables, or a
+# polynomial that is not one or has another number of variables, with the
+# error each must raise
+BAD_CALLS = {
+    # these three once ended in a bare TypeError or AttributeError
+    "parse_int_as_variables": (lambda: parse_polynomial("x", 5), ValueError),
+    "print_int_as_variables": (lambda: print_polynomial(XY, 5), ValueError),
+    "print_int_as_polynomial": (lambda: print_polynomial(5, ["x"]), ValueError),
+    # these three once returned 'x', x, and x in the second slot, with no error
+    "print_too_few_variables": (lambda: print_polynomial(XY, ["x"]), RankMismatch),
+    "parse_string_as_variables": (lambda: parse_polynomial("x", "x"), ValueError),
+    "parse_repeated_variable": (lambda: parse_polynomial("x", ["x", "x"]), ValueError),
+    "print_too_many_variables": (
+        lambda: print_polynomial(XY, ["x", "y", "z"]), RankMismatch
+    ),
+    "print_repeated_variable": (lambda: print_polynomial(XY, ["x", "x"]), ValueError),
+    "parse_list_as_name": (lambda: parse_polynomial("x", [["x"]]), ValueError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CALLS))
+def test_bad_arguments_raise_project_errors(case):
+    call, error = BAD_CALLS[case]
+    with pytest.raises(error):
+        call()
+
+
+def test_repeated_names_have_the_weighting_message():
+    with pytest.raises(ValueError, match="^variable names must be unique$"):
+        parse_polynomial("x", ["x", "x"])
 
 
 class TestNonAscii:
