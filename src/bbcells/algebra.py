@@ -260,8 +260,8 @@ def open_immersion_check(presentation, monoid):
 
 
 def _counting_plan(quotient, monoid):
-    """Every check a count needs, then each variable's least pure power in the
-    ideal or None; a zero-weight variable without one raises InfiniteDimension."""
+    """Every check a count needs: the variable weights lie in the monoid, and
+    a zero-weight variable without a pure power raises InfiniteDimension."""
     w = quotient.weighting
     outside = outsider_variables(quotient, monoid)
     if outside:
@@ -269,7 +269,6 @@ def _counting_plan(quotient, monoid):
         raise WeightOutsideMonoid(
             f"variable {name} has weight {dict(w.variables)[name]} outside the monoid"
         )
-    caps = []
     for i, (name, weight) in enumerate(w.variables):
         powers = [g[i] for g in quotient.minimal_generators if 0 < g[i] == sum(g)]
         if not powers and not any(weight):
@@ -277,8 +276,6 @@ def _counting_plan(quotient, monoid):
                 f"zero-weight variable {name} has no pure power in the ideal; "
                 "graded components are infinite dimensional"
             )
-        caps.append(min(powers, default=None))
-    return caps
 
 
 def _pairing(a, b):
@@ -290,24 +287,27 @@ def _standard_monomials(quotient, monoid, budget, kempf=None):
 
     Each nonzero-weight variable costs 1, so the cost is the J-order, or its
     Kempf degree when a Kempf vector is given, which is at least the J-order.
-    Zero-weight variables cost nothing.  No exponent reaches its variable's
-    least pure power, which would divide the monomial, so a zero-weight
-    variable must have one.
+    Zero-weight variables cost nothing.  The exponent of variable i stays
+    below g_i for every minimal generator g whose support ends at i and
+    whose earlier exponents divide the monomial's, which is exactly what
+    keeps every generator from dividing it; a zero-weight variable has a
+    pure power among them.  The unit ideal leaves nothing.
     """
-    w = quotient.weighting
-    level = [((), 0, 0)]
-    for cap, (_, weight) in zip(_counting_plan(quotient, monoid), w.variables):
+    _counting_plan(quotient, monoid)
+    w, gens = quotient.weighting, quotient.minimal_generators
+    level = [((), 0, 0, (0,) * w.torus_rank)] if all(map(any, gens)) else []
+    for i, (_, weight) in enumerate(w.variables):
+        ends = [(g[:i], g[i]) for g in gens if g[i] and not any(g[i + 1:])]
         step = 1 if any(weight) else 0
         c = step if kempf is None else _pairing(kempf, weight)
-        # a nonzero-weight variable costs at least 1, so budget + 1 caps it
         level = [
-            (exps + (e,), cost + e * c, order + e * step)
-            for exps, cost, order in level
-            for e in range(min(cap or budget + 1, (budget - cost) // c + 1) if c else cap)
+            (exps + (e,), cost + e * c, order + e * step,
+             tuple(x + e * y for x, y in zip(total, weight)))
+            for exps, cost, order, total in level
+            for e in range(min([g for pre, g in ends if _divides(pre, exps)]
+                               + ([(budget - cost) // c + 1] if c else [])))
         ]
-    for exps, _, order in level:
-        if not any(_divides(g, exps) for g in quotient.minimal_generators):
-            yield _weight(exps, w), order
+    return [(total, order) for _, _, order, total in level]
 
 
 def truncate(quotient, monoid, n):
@@ -350,6 +350,7 @@ def stabilization_check(quotient, monoid, weight, n_max):
     weight, n_lambda, orders = _weight_orders(quotient, monoid, weight)
     if type(n_max) is not int:
         raise ValueError("n_max must be an integer")
+    require_natural(n_max, "n_max")
     by_order = [0] * (n_max + 1)
     for order in orders:
         if order <= n_max:

@@ -1,6 +1,5 @@
 """Exact integer linear algebra: the Hermite normal form, the Smith form built
-on it and lattice kernels, and fraction-free (Bareiss) rank and signed
-maximal minors.
+on it and lattice kernels, and the fraction-free (Bareiss) rank.
 
 All matrices are lists of lists of Python ints (arbitrary precision).
 Row convention: a matrix with r rows and c columns maps Z^c -> Z^r.
@@ -108,18 +107,6 @@ def _bareiss(mat):
 def rank_of(mat):
     """Rank over Q (equals rank over Z)."""
     return len(_bareiss(mat)[1])
-
-
-def signed_minors(mat, dim):
-    """Generalized cross product of a (dim-1) x dim matrix: entry j is (-1)^j
-    times the minor without column j.  Zero iff the rank is below dim - 1."""
-    rows, pivots, last = _bareiss(mat)
-    if len(pivots) < len(mat):
-        return [0] * dim
-    f = dim * (dim - 1) // 2 - sum(pivots)  # the one column outside them
-    v = [row[f] for row in rows]
-    v.insert(f, -last)
-    return v if f % 2 else [-x for x in v]
 
 
 def _is_diagonal(s):

@@ -174,6 +174,38 @@ def kernel_cone_inequalities(generators, dim):
     return sorted(pairs) + sorted(normals)
 
 
+def signed_minors(mat, dim):
+    """Generalized cross product of a (dim-1) x dim matrix: entry j is (-1)^j
+    times the minor without column j.  Zero iff the rank is below dim - 1."""
+    rows, pivots, last = intlinalg._bareiss(mat)
+    if len(pivots) < len(mat):
+        return [0] * dim
+    f = dim * (dim - 1) // 2 - sum(pivots)  # the one column outside them
+    v = [row[f] for row in rows]
+    v.insert(f, -last)
+    return v if f % 2 else [-x for x in v]
+
+
+def minor_cone_inequalities(generators, dim):
+    """Facet route before double description, kept byte for byte as an
+    oracle: a facet normal is the primitive signed-minor vector of r-1
+    generators and the span equations, r the dimension of the span, taken
+    when it is nonzero and one-signed on the cone.  It tries all C(m, r-1)
+    generator subsets."""
+    gens = sorted({tuple(g) for g in generators if any(g)})
+    equations = intlinalg.row_hermite(intlinalg.kernel_basis(gens, dim))[0]
+    r = dim - len(equations)
+    normals = set()
+    for subset in combinations(gens, r - 1) if r > 0 else ():
+        a = signed_minors(list(subset) + equations, dim)
+        values = [sum(x * y for x, y in zip(a, g)) for g in gens]
+        side = next((v for v in values if v), 0)  # 0 only for a = 0: a is in the span
+        if side and all(v * side >= 0 for v in values):
+            normals.add(tuple(primitive(a if side > 0 else [-x for x in a])))
+    pairs = {tuple(s * x for x in e) for e in equations for s in (1, -1)}
+    return sorted(pairs) + sorted(normals)
+
+
 def fm_cone_inequalities(generators, dim):
     """Facet normals of cone(generators) by Fourier-Motzkin, for small cases.
 

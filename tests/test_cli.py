@@ -26,6 +26,16 @@ GOLDEN_CASES = [
         "monoid_analyze_halfplane",
         ["monoid", "analyze", "-i", data("monoid_halfplane.json"), "--json"],
     ),
+    # canonical forms of a cone in a proper subspace (span equations, then
+    # facets) and of a pointed rank-3 cone with five facets
+    (
+        "monoid_analyze_rank3_plane",
+        ["monoid", "analyze", "-i", data("monoid_rank3_plane.json"), "--json"],
+    ),
+    (
+        "monoid_analyze_rank3_six",
+        ["monoid", "analyze", "-i", data("monoid_rank3_six.json"), "--json"],
+    ),
     (
         "monoid_reduce",
         ["monoid", "reduce", "-i", data("monoid_halfplane.json"), "--json"],
@@ -310,6 +320,8 @@ class TestErrorPaths:
          "error[rank-mismatch]: weight (3, 5) has length 2, expected 1"),
         (["algebra", "truncate", *QUOT_ARGS, "-n", "-1"], {},
          "error[bad-input]: truncation level must be a nonnegative integer"),
+        (["algebra", "stabilize", *QUOT_ARGS, "-w", "3", "-n", "-1"], {},
+         "error[bad-input]: n_max must be a nonnegative integer"),
         (["algebra", "algebraize", *QUOT_ARGS, "--bound", "-1"], {},
          "error[bad-input]: weight bound must be a nonnegative integer"),
         (["hilb", "fixed-points", "-d", "-1"], {},
@@ -327,7 +339,8 @@ class TestErrorPaths:
                    "variables": [{"name": "x", "weight": [1]},
                                  {"name": "y", "weight": [1]}]}},
          "error[domain-error]: not a monomial: 'x + y'"),
-    ], ids=["generator", "variable_weight", "stabilize_weight", "level", "bound",
+    ], ids=["generator", "variable_weight", "stabilize_weight", "level",
+            "stabilize_level", "bound",
             "fixed_points_d", "cells_d", "cells_d_with_weight", "poincare_d",
             "intersect_d", "not_a_monomial"])
     def test_exact_input_errors_are_pinned(self, argv, docs, err, tmp_path, capsys):

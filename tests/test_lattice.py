@@ -2,7 +2,7 @@ import re
 import time
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +16,7 @@ from conftest import (
     fm_cone_inequalities,
     fraction_rank_det,
     kernel_cone_inequalities,
+    minor_cone_inequalities,
     random_monoid,
     random_pointed_monoid,
     seeded,
@@ -325,8 +326,8 @@ class TestConeInequalities:
             checked += 1
 
     def test_matches_kernel_route(self):
-        """Signed minors give the facets the per-subset Hermite kernels gave,
-        on cones of rank 1..5 with proper spans and zero or repeated
+        """Double description gives the facets the per-subset Hermite kernels
+        gave, on cones of rank 1..5 with proper spans and zero or repeated
         generators."""
         rng = seeded(108)
         seen = {"lower": 0, "zero": 0, "repeat": 0}
@@ -356,6 +357,59 @@ class TestConeInequalities:
                 gens, rank
             )
         assert min(seen.values()) >= 30
+
+    def test_matches_minor_route(self):
+        """Double description gives the facets the signed minors of every
+        generator subset gave, on cones of rank 1..6 with up to 24
+        generators, some in proper subspaces; cones whose subset count
+        C(m, r-1) passes 2100 are skipped to keep the oracle fast."""
+        rng = seeded(109)
+        seen = {"lower": 0, "many": 0, "rank6": 0}
+        checked = 0
+        while checked < 200:
+            rank, m = rng.randint(1, 6), rng.randint(1, 24)
+            if comb(m, rank - 1) > 2100:
+                continue
+            links = ["free"] * rank
+            if rng.random() < 0.3:
+                links = [rng.choice(["free", "zero"] + [(j, -1) for j in range(i)])
+                         for i in range(rank)]
+            gens = []
+            for _ in range(m):
+                g = []
+                for link in links:
+                    if link == "free":
+                        g.append(rng.randint(-3, 3))
+                    else:
+                        g.append(0 if link == "zero" else link[1] * g[link[0]])
+                gens.append(tuple(g))
+            seen["lower"] += rank_of([list(g) for g in gens]) < rank
+            seen["many"] += m > 12
+            seen["rank6"] += rank == 6
+            assert polyhedra.cone_inequalities(gens, rank) == minor_cone_inequalities(
+                gens, rank
+            )
+            checked += 1
+        assert min(seen.values()) >= 15
+
+    def test_many_generators_in_rank_six(self):
+        # the signed-minor route took 2.1 s over the C(24, 5) = 42,504
+        # generator subsets of this pointed cone (2 shared vCPUs, Python 3.11.7)
+        rng = seeded(110)
+        gens = []
+        while len(gens) < 24:
+            g = tuple(rng.randint(-3, 3) for _ in range(6))
+            if sum(g) > 0:
+                gens.append(g)
+        start = time.perf_counter()
+        normals = polyhedra.cone_inequalities(gens, 6)
+        assert time.perf_counter() - start < 0.5
+        assert len(normals) > 6 and len(set(normals)) == len(normals)
+        for a in normals:
+            # a facet: nonnegative on every generator, and the generators on
+            # its hyperplane span a subspace of dimension 5
+            assert all(dot(a, g) >= 0 for g in gens)
+            assert rank_of([list(g) for g in gens if dot(a, g) == 0]) == 5
 
     @pytest.mark.parametrize("name", sorted(HARD_CONES))
     def test_hard_cone(self, name):
