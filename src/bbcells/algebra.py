@@ -29,7 +29,14 @@ from .errors import (
     require_vector,
 )
 
-_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+IDENT = re.compile("[A-Za-z][A-Za-z0-9_]*")  # variable names: ASCII identifiers
+
+
+def require_name(name):
+    """The name, which must be a str that is an ASCII identifier (IDENT)."""
+    if not isinstance(name, str) or not IDENT.fullmatch(name):
+        raise ValueError(f"invalid variable name {name!r}")
+    return name
 
 
 @dataclass(frozen=True)
@@ -42,9 +49,7 @@ class VariableWeighting:
         for entry in require_sequence(self.variables, "variables"):
             if len(require_sequence(entry, "variable")) != 2:
                 raise ValueError(f"variable {entry!r} is not a (name, weight) pair")
-            name = entry[0]
-            if not isinstance(name, str) or not _IDENT.match(name):
-                raise ValueError(f"invalid variable name {name!r}")
+            require_name(entry[0])
         if len(set(self.names)) != len(self.names):
             raise ValueError("variable names must be unique")
         object.__setattr__(self, "variables", tuple(

@@ -1,11 +1,12 @@
 """Cells of the Hilbert scheme of points on the plane.
 
 Torus-fixed points are monomial ideals, indexed by partitions via their
-staircases.  The bigraded tangent character at a fixed point is computed
-two independent ways: degreewise linear algebra on homomorphisms out of the
-ideal, and the arm/leg combinatorics of the Young diagram.  Cell and
-cell-intersection dimensions are half-space counts on that character; the
-histogram of cell dimensions is a closed form in partition counts.
+staircases and listed by ZS1.  The bigraded tangent character at a fixed
+point is computed two independent ways: the arm/leg combinatorics of the
+Young diagram, and Hom(M, S/M) degree by degree, where it solves a path
+system on the staircase generators whose dimension one walk counts.  Cell
+and cell-intersection dimensions are half-space counts on that character;
+the histogram of cell dimensions is a closed form in partition counts.
 
 Convention: the box diagram of a partition (p_1 >= p_2 >= ...) has row j
 (the exponent of y) of length p_{j+1}; the single-box partition has tangent
@@ -15,73 +16,92 @@ character {(1,0), (0,1)}.
 from dataclasses import dataclass
 from math import gcd
 
-from . import intlinalg
-from .errors import NonGenericWeight, require_natural, require_sequence, require_vector
+from .errors import (
+    NonGenericWeight, require_instance, require_natural, require_sequence, require_vector,
+)
 
 
 @dataclass(frozen=True)
 class MonomialIdealPlane:
     partition: tuple  # weakly decreasing positive parts
 
+    def __post_init__(self):
+        partition = require_sequence(self.partition, "partition")
+        if not all(type(p) is int and p > 0 for p in partition) or (
+                list(partition) != sorted(partition, reverse=True)):
+            raise ValueError("parts must be positive integers, weakly decreasing")
+        object.__setattr__(self, "partition", partition)
+
 
 def partitions(d):
-    """All partitions of d in reverse lexicographic order: (d) first."""
+    """All partitions of d in reverse lexicographic order: (d) first.
+
+    ZS1 (Zoghbi and Stojmenovic, Int. J. Comput. Math. 70, 1998), without
+    recursion: x[:m] is the current partition, x[m:] is all ones, and h
+    indexes its last part above 1.  The next partition lowers x[h] by one
+    and refills the parts after it with copies of the new x[h] and one
+    remainder."""
     require_natural(d, "d")
     if d == 0:
         return [()]
-    out = []
-
-    def rec(remaining, cap, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            rec(remaining - part, part, prefix + [part])
-
-    rec(d, d, [])
+    x = [d] + [1] * (d - 1)
+    m, h = 1, 0
+    out = [(d,)]
+    while x[0] != 1:
+        if x[h] == 2:
+            x[h] = 1
+            m += 1
+            h -= 1
+        else:
+            r = x[h] - 1
+            t = m - h  # the units freed: x[h] gives one, and the m - h - 1 ones
+            x[h] = r
+            while t > r:
+                h += 1
+                x[h] = r
+                t -= r
+            x[h + 1] = t
+            m = h + 2
+            if t > 1:
+                h += 1
+        out.append(tuple(x[:m]))
     return out
 
 
 def transpose(partition):
-    if not partition:
-        return ()
-    return tuple(
-        sum(1 for p in partition if p > i) for i in range(partition[0])
-    )
+    """Conjugate partition, one pass over the parts from the smallest up:
+    column a holds k boxes when p_(k+1) <= a < p_k."""
+    columns, k = [], len(partition)
+    for p in reversed(partition):  # p = p_k
+        columns += [k] * (p - len(columns))
+        k -= 1
+    return tuple(columns)
 
 
 def ideal_from_partition(partition):
     """Monomial ideal whose standard monomials x^a y^b fill the diagram:
     row b holds the exponents a < partition[b]."""
-    partition = require_sequence(partition, "partition")
-    if any(type(p) is not int or p < 1 for p in partition) or any(
-        a < b for a, b in zip(partition, partition[1:])
-    ):
-        raise ValueError("parts must be positive integers, weakly decreasing")
     return MonomialIdealPlane(partition=partition)
 
 
 def standard_exponents(partition):
     """Boxes of the diagram as (a, b) pairs: a column index, b row index."""
-    return [
-        (a, b) for b, width in enumerate(partition) for a in range(width)
-    ]
-
-
-def _is_standard(partition, a, b):
-    return a >= 0 and b >= 0 and b < len(partition) and a < partition[b]
+    return [(a, b) for b, width in enumerate(partition) for a in range(width)]
 
 
 def tangent_character_armleg(ideal):
     """Tangent character from the diagram: each box c contributes the weights
-    (arm(c)+1, -leg(c)) and (-arm(c), leg(c)+1)."""
-    partition = ideal.partition
+    (arm(c)+1, -leg(c)) and (-arm(c), leg(c)+1), box by box along the rows."""
+    partition = require_instance(ideal, MonomialIdealPlane, "ideal").partition
     tr = transpose(partition)
     entries = {}
-    for a, b in standard_exponents(partition):
-        arm = partition[b] - 1 - a
-        leg = tr[a] - 1 - b
-        for w in ((arm + 1, -leg), (-arm, leg + 1)):
+    for b, p in enumerate(partition):
+        for a in range(p):
+            arm = p - 1 - a
+            leg = tr[a] - 1 - b
+            w = (arm + 1, -leg)
+            entries[w] = entries.get(w, 0) + 1
+            w = (-arm, leg + 1)
             entries[w] = entries.get(w, 0) + 1
     return entries
 
@@ -99,49 +119,50 @@ def tangent_character_linalg(ideal):
     A homomorphism is pinned down by the images of the staircase generators,
     constrained by the syzygy between each consecutive pair.  In a fixed
     bidegree each generator image lands in a space of dimension 0 or 1
-    (spanned by a standard monomial), so the solution space is the kernel of
-    a small integer matrix.  Only shifts taking some generator onto a box
-    of the diagram can carry a homomorphism.
+    (spanned by a standard monomial), so the solution space is that of the
+    path system of `_hom_dimension`.  Only shifts taking some generator onto
+    a box of the diagram can carry a homomorphism.
     """
-    partition = ideal.partition
+    partition = require_instance(ideal, MonomialIdealPlane, "ideal").partition
     gens = _corners(partition)
-    shifts = {
-        (a - ga, b - gb)
-        for a, b in standard_exponents(partition)
-        for ga, gb in gens
-    }
+    boxes = set(standard_exponents(partition))
+    shifts = {(a - ga, b - gb) for a, b in boxes for ga, gb in gens}
     entries = {}
     for d1, d2 in sorted(shifts):
-        mult = _hom_dimension(partition, gens, (d1, d2))
+        mult = _hom_dimension(boxes, gens, (d1, d2))
         if mult:
             # sign convention: the single box must yield {(1,0),(0,1)}
             entries[(-d1, -d2)] = mult
     return entries
 
 
-def _hom_dimension(partition, gens, delta):
+def _hom_dimension(boxes, gens, delta):
+    """Dimension of Hom(M, S/M) in degree delta, by one walk of the staircase.
+
+    Generator t has one coefficient, forced to 0 unless its shift is a box
+    (t is live).  The syzygy of generators t-1 and t is active when their
+    shifted lcm (a_t, b_(t-1)) is a box; an active syzygy equates two live
+    neighbours or kills its one live side.  These rows are the incidence rows
+    of a path with a ground node, so the solution space has one dimension
+    per maximal run of live generators, chained by active syzygies, that no
+    active syzygy ties to a dead neighbour.
+    """
     d1, d2 = delta
-    # free coordinates: generators whose shifted image is a standard monomial
-    live = [
-        t
-        for t, (a, b) in enumerate(gens)
-        if _is_standard(partition, a + d1, b + d2)
-    ]
-    index = {t: i for i, t in enumerate(live)}
-    rows = []
-    for t in range(len(gens) - 1):
-        (a1, b1), (a2, b2) = gens[t], gens[t + 1]
-        lcm = (a2, b1)  # a's increase, b's decrease along the staircase
-        if not _is_standard(partition, lcm[0] + d1, lcm[1] + d2):
-            continue
-        row = [0] * len(live)
-        if t in index:
-            row[index[t]] = 1
-        if t + 1 in index:
-            row[index[t + 1]] = -1
-        if any(row):
-            rows.append(row)
-    return len(live) - intlinalg.rank_of(rows)
+    walk = iter(gens)
+    a, b = next(walk)
+    b += d2  # the shifted row of generator t-1
+    live, free, runs = (a + d1, b) in boxes, True, 0
+    for a, b_next in walk:
+        a += d1
+        active = (a, b) in boxes  # the shifted lcm (a_t, b_(t-1))
+        b = b_next + d2
+        prev, live = live, (a, b) in boxes
+        if prev and live and active:
+            continue  # the run of t-1 goes on through t
+        if prev:  # the run of t-1 ends; an active syzygy ties it to dead t
+            runs += free and not active
+        free = not active  # the run that t starts, if t is live
+    return runs + (live and free)
 
 
 def cell_dimension(ideal, w):

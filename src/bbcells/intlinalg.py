@@ -1,5 +1,5 @@
 """Exact integer linear algebra: the Hermite normal form, the Smith form built
-on it and lattice kernels, and the fraction-free (Bareiss) rank.
+on it and lattice kernels.
 
 All matrices are lists of lists of Python ints (arbitrary precision).
 Row convention: a matrix with r rows and c columns maps Z^c -> Z^r.
@@ -80,33 +80,6 @@ def kernel_basis(mat, cols):
     """
     h, u = row_hermite([[row[j] for row in mat] for j in range(cols)])
     return [sign_normalized(w) for w, row in zip(u, h) if not any(row)]
-
-
-def _bareiss(mat):
-    """Fraction-free Gauss-Jordan elimination (Bareiss, 1968), leaving mat as
-    it is: (rows, pivot columns, last pivot or 1).  Entries stay minors, so
-    each division is exact; a swap negates the row it moves up, which keeps
-    the minors' signs.  The pivot block ends as `last` times the identity."""
-    rows = list(mat)  # rows are replaced, never changed in place
-    last, pivots = 1, []
-    for col in range(len(rows[0]) if rows else 0):
-        k = len(pivots)
-        i0 = next((i for i in range(k, len(rows)) if rows[i][col]), None)
-        if i0 is None:
-            continue
-        if i0 != k:
-            rows[i0], rows[k] = rows[k], [-x for x in rows[i0]]
-        top = rows[k]
-        rows = [row if row is top else [(top[col] * a - row[col] * b) // last
-                                        for a, b in zip(row, top)] for row in rows]
-        last = top[col]
-        pivots.append(col)
-    return rows, pivots, last
-
-
-def rank_of(mat):
-    """Rank over Q (equals rank over Z)."""
-    return len(_bareiss(mat)[1])
 
 
 def _is_diagonal(s):

@@ -14,7 +14,7 @@ printed string reproduces the polynomial exactly.
 import re
 from fractions import Fraction
 
-from .algebra import GradedPolynomial, make_polynomial
+from .algebra import IDENT, GradedPolynomial, make_polynomial, require_name
 from .errors import (
     ExponentOverflow, PolynomialSyntaxError, UnknownVariable, require_instance,
     require_sequence, require_vector,
@@ -23,7 +23,7 @@ from .errors import (
 MAX_EXPONENT = 2**31 - 1
 MAX_DIGITS = 4300  # of a coefficient or denominator, as int() takes by default
 
-_TOKEN = re.compile(r"\s*(?:([0-9]+)|([A-Za-z]\w*)|(.?))", re.ASCII | re.DOTALL)
+_TOKEN = re.compile(rf"\s*(?:([0-9]+)|({IDENT.pattern})|(.?))", re.ASCII | re.DOTALL)
 _NAT, _IDENT = 1, 2
 
 
@@ -59,10 +59,9 @@ def _number(toks):
 
 
 def _names(variables):
-    """The tuple of variables, which must be a list or tuple of distinct strs."""
-    names = require_sequence(variables, "variables")
-    for name in names:
-        require_instance(name, str, "variable name")
+    """The tuple of variables, which must be a list or tuple of distinct
+    names, each an ASCII identifier as in a VariableWeighting."""
+    names = tuple(map(require_name, require_sequence(variables, "variables")))
     if len(set(names)) != len(names):
         raise ValueError("variable names must be unique")
     return names

@@ -8,7 +8,34 @@ from math import lcm
 
 from bbcells import algebra, hilb, intlinalg, lattice, polyhedra
 from bbcells.errors import require_natural
-from bbcells.intlinalg import primitive, rank_of
+from bbcells.intlinalg import primitive
+
+
+def bareiss(mat):
+    """Fraction-free Gauss-Jordan elimination (Bareiss, 1968), leaving mat as
+    it is: (rows, pivot columns, last pivot or 1).  Entries stay minors, so
+    each division is exact; a swap negates the row it moves up, which keeps
+    the minors' signs.  The pivot block ends as `last` times the identity."""
+    rows = list(mat)  # rows are replaced, never changed in place
+    last, pivots = 1, []
+    for col in range(len(rows[0]) if rows else 0):
+        k = len(pivots)
+        i0 = next((i for i in range(k, len(rows)) if rows[i][col]), None)
+        if i0 is None:
+            continue
+        if i0 != k:
+            rows[i0], rows[k] = rows[k], [-x for x in rows[i0]]
+        top = rows[k]
+        rows = [row if row is top else [(top[col] * a - row[col] * b) // last
+                                        for a, b in zip(row, top)] for row in rows]
+        last = top[col]
+        pivots.append(col)
+    return rows, pivots, last
+
+
+def rank_of(mat):
+    """Rank over Q (equals rank over Z)."""
+    return len(bareiss(mat)[1])
 
 
 def random_monoid(rng, max_rank=3):
@@ -177,7 +204,7 @@ def kernel_cone_inequalities(generators, dim):
 def signed_minors(mat, dim):
     """Generalized cross product of a (dim-1) x dim matrix: entry j is (-1)^j
     times the minor without column j.  Zero iff the rank is below dim - 1."""
-    rows, pivots, last = intlinalg._bareiss(mat)
+    rows, pivots, last = bareiss(mat)
     if len(pivots) < len(mat):
         return [0] * dim
     f = dim * (dim - 1) // 2 - sum(pivots)  # the one column outside them
@@ -243,6 +270,46 @@ def fm_cone_inequalities(generators, dim):
                 changed = True
                 break
     return kept
+
+
+def matrix_hom_dimension(partition, gens, delta):
+    """hilb._hom_dimension by a rank, kept as the oracle of the staircase
+    walk: one column per generator whose shifted image is a box, and one row
+    per syzygy whose shifted lcm is a box, with +1 and -1 at its live
+    generators; the degree-delta dimension is the columns minus the rank."""
+    d1, d2 = delta
+    boxes = set(hilb.standard_exponents(partition))
+    live = [t for t, (a, b) in enumerate(gens) if (a + d1, b + d2) in boxes]
+    index = {t: i for i, t in enumerate(live)}
+    rows = []
+    for t in range(len(gens) - 1):
+        (_, b1), (a2, _) = gens[t], gens[t + 1]
+        if (a2 + d1, b1 + d2) not in boxes:
+            continue
+        row = [0] * len(live)
+        if t in index:
+            row[index[t]] = 1
+        if t + 1 in index:
+            row[index[t + 1]] = -1
+        if any(row):
+            rows.append(row)
+    return len(live) - rank_of(rows)
+
+
+def recursive_partitions(d):
+    """Partitions of d in reverse lexicographic order by recursion on the
+    largest part, kept as the oracle of hilb.partitions."""
+    out = []
+
+    def rec(remaining, cap, prefix):
+        if remaining == 0:
+            out.append(tuple(prefix))
+            return
+        for part in range(min(cap, remaining), 0, -1):
+            rec(remaining - part, part, prefix + [part])
+
+    rec(d, d, [])
+    return out
 
 
 def ideal_is_generic(ideal, w):

@@ -108,6 +108,10 @@ GOLDEN_CASES = [
     ),
     ("hilb_fixed_points", ["hilb", "fixed-points", "-d", "3", "--json"]),
     ("hilb_tangent", ["hilb", "tangent", "-d", "2", "--json"]),
+    # past d = 3, reverse lexicographic order has parts to compare after
+    # the first: [4, 1, 1] comes before [3, 3]
+    ("hilb_fixed_points_d6", ["hilb", "fixed-points", "-d", "6", "--json"]),
+    ("hilb_tangent_d5", ["hilb", "tangent", "-d", "5", "--json"]),
     ("hilb_cells", ["hilb", "cells", "-d", "2", "-w", "1,3", "--json"]),
     (
         "hilb_intersect",

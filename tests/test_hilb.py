@@ -6,7 +6,10 @@ import pytest
 
 from bbcells import hilb
 from bbcells.errors import NonGenericWeight, RankMismatch
-from conftest import enumerated_poincare_histogram, ideal_is_generic, looped_is_generic
+from conftest import (
+    enumerated_poincare_histogram, ideal_is_generic, looped_is_generic,
+    matrix_hom_dimension, recursive_partitions,
+)
 
 
 def char(partition):
@@ -32,27 +35,29 @@ class TestPartitions:
         assert hilb.partitions(3) == [(3,), (2, 1), (1, 1, 1)]
 
     def test_counts(self):
-        # brute-force oracle: count weakly decreasing positive tuples summing
-        # to d, generated as restricted compositions
-        def brute(d):
-            def rec(remaining, cap):
-                if remaining == 0:
-                    return 1
-                return sum(
-                    rec(remaining - p, p) for p in range(min(cap, remaining), 0, -1)
-                )
-
-            return rec(d, d)
-
         expected = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
         for d in range(1, 11):
-            assert len(hilb.partitions(d)) == expected[d - 1] == brute(d)
+            count = len(hilb.partitions(d))
+            assert count == expected[d - 1] == len(recursive_partitions(d))
 
     def test_distinct_and_sorted_parts(self):
         for p in hilb.partitions(7):
             assert sum(p) == 7
             assert list(p) == sorted(p, reverse=True)
         assert len(set(hilb.partitions(7))) == 15
+
+    def test_matches_recursion(self):
+        # ZS1 against recursion on the largest part, list for list
+        for d in range(31):
+            assert hilb.partitions(d) == recursive_partitions(d), d
+
+    def test_transpose_matches_definition(self):
+        for d in range(16):
+            for p in hilb.partitions(d):
+                columns = p[0] if p else 0
+                assert hilb.transpose(p) == tuple(
+                    sum(1 for part in p if part > a) for a in range(columns)
+                ), p
 
     def test_zero_and_negative(self):
         assert hilb.partitions(0) == [()]
@@ -117,6 +122,25 @@ class TestTangentCharacters:
                 armleg = hilb.tangent_character_armleg(ideal)
                 assert linalg == armleg, p
 
+    def test_staircase_walk_matches_matrix_rank(self):
+        # every shift tangent_character_linalg tries, for d <= 15
+        for d in range(1, 16):
+            for p in hilb.partitions(d):
+                gens = hilb._corners(p)
+                boxes = set(hilb.standard_exponents(p))
+                for delta in {(a - ga, b - gb) for a, b in boxes for ga, gb in gens}:
+                    assert hilb._hom_dimension(boxes, gens, delta) == (
+                        matrix_hom_dimension(p, gens, delta)
+                    ), (p, delta)
+
+    def test_large_staircase_is_fast(self):
+        # 465 boxes and 31 generators: 0.42 s by a matrix rank per shift
+        ideal = hilb.ideal_from_partition(tuple(range(30, 0, -1)))
+        start = time.perf_counter()
+        linalg = hilb.tangent_character_linalg(ideal)
+        assert time.perf_counter() - start < 0.25
+        assert linalg == hilb.tangent_character_armleg(ideal)
+
     def test_total_dimension_and_no_fixed_directions(self):
         for d in range(1, 9):
             for p in hilb.partitions(d):
@@ -129,6 +153,40 @@ class TestTangentCharacters:
             for p in hilb.partitions(d):
                 swapped = {(b, a): m for (a, b), m in char(p).items()}
                 assert char(hilb.transpose(p)) == swapped
+
+
+# calls given something other than a MonomialIdealPlane, and plane ideals
+# with bad parts, with the error each must raise
+BAD_CALLS = {
+    # these two once ended in a bare AttributeError
+    "armleg_int": (lambda: hilb.tangent_character_armleg(5), ValueError),
+    "cell_partition_as_ideal": (lambda: hilb.cell_dimension((2, 1), (1, 3)), ValueError),
+    # this one once ended in an IndexError
+    "increasing_parts": (
+        lambda: hilb.tangent_character_armleg(hilb.MonomialIdealPlane((1, 2))), ValueError
+    ),
+    "linalg_int": (lambda: hilb.tangent_character_linalg(5), ValueError),
+    "intersect_partition_as_ideal": (
+        lambda: hilb.intersection_dimension((2,), (1, 3), (3, 1)), ValueError
+    ),
+    "zero_part": (lambda: hilb.MonomialIdealPlane((1, 0)), ValueError),
+    "negative_part": (lambda: hilb.MonomialIdealPlane((-1,)), ValueError),
+    "float_part": (lambda: hilb.MonomialIdealPlane((2.0,)), ValueError),
+    "bool_part": (lambda: hilb.MonomialIdealPlane((True,)), ValueError),
+    "int_as_partition": (lambda: hilb.MonomialIdealPlane(5), ValueError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CALLS))
+def test_bad_arguments_raise_project_errors(case):
+    call, error = BAD_CALLS[case]
+    with pytest.raises(error):
+        call()
+
+
+def test_ideal_keeps_its_parts_as_a_tuple():
+    assert hilb.MonomialIdealPlane([2, 1]) == hilb.ideal_from_partition((2, 1))
+    assert hilb.MonomialIdealPlane([2, 1]).partition == (2, 1)
 
 
 class TestCellDimension:

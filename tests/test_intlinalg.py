@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bbcells import intlinalg
-from conftest import fraction_rank_det, mat_mul, signed_minors, solve_exact
+from conftest import fraction_rank_det, mat_mul, rank_of, signed_minors, solve_exact
 
 
 def random_matrix(rng, rows, cols, bound=5):
@@ -86,7 +86,7 @@ def test_kernel_vectors_annihilate_and_span():
         basis = intlinalg.kernel_basis(mat, cols)
         for v in basis:
             assert all(x == 0 for x in intlinalg.mat_vec(mat, v))
-        assert len(basis) == cols - intlinalg.rank_of(mat)
+        assert len(basis) == cols - rank_of(mat)
         # the span is saturated: each kernel vector of the box [-2, 2]^cols
         # is an integer combination of the basis
         columns = [[v[i] for v in basis] for i in range(cols)]
@@ -177,7 +177,7 @@ def eliminable(draw):
 def test_fraction_free_elimination_matches_fraction_oracle(drawn):
     mat, d = drawn
     rank = fraction_rank_det(mat)[0]
-    assert intlinalg.rank_of(mat) == rank
+    assert rank_of(mat) == rank
     if len(mat) == d:
         return
     minors = signed_minors(mat, d)
@@ -192,5 +192,5 @@ def test_fraction_free_elimination_matches_fraction_oracle(drawn):
 
 
 def test_signed_minors_of_the_empty_matrix():
-    assert intlinalg.rank_of([]) == 0
+    assert rank_of([]) == 0
     assert signed_minors([], 1) == [1]

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from bbcells import intlinalg, lattice, polyhedra
 from bbcells.errors import MonoidHasUnits, RankMismatch
-from bbcells.intlinalg import rank_of
 from conftest import (
     brute_kempf_vector,
     cone_member_oracle,
@@ -19,6 +18,7 @@ from conftest import (
     minor_cone_inequalities,
     random_monoid,
     random_pointed_monoid,
+    rank_of,
     seeded,
     solve_exact,
 )

@@ -175,9 +175,18 @@ class TestNonAscii:
     ])
     def test_rejected_with_offset(self, text, message, offset):
         with pytest.raises(PolynomialSyntaxError) as err:
-            parse_polynomial(text, XYZ + ["\u00e9"])
+            parse_polynomial(text, XYZ)
         assert str(err.value) == f"{message} (at byte {offset})"
         assert err.value.offset == offset
+
+    # names follow the VariableWeighting rule: print_polynomial(XY, ["a b",
+    # "y"]) once returned 'a b', which does not parse back
+    @pytest.mark.parametrize("name", ["\u00e9", "a b", "x\n", "", "1x"])
+    def test_names_must_be_ascii_identifiers(self, name):
+        for call in (lambda: parse_polynomial("y", [name, "y"]),
+                     lambda: print_polynomial(XY, [name, "y"])):
+            with pytest.raises(ValueError, match="^invalid variable name "):
+                call()
 
 
 class TestRoundTrip:
