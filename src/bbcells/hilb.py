@@ -34,19 +34,24 @@ class MonomialIdealPlane:
 
 
 def partitions(d):
-    """All partitions of d in reverse lexicographic order: (d) first.
+    """All partitions of d in reverse lexicographic order: (d) first."""
+    require_natural(d, "d")
+    return list(_zs1(d))
 
-    ZS1 (Zoghbi and Stojmenovic, Int. J. Comput. Math. 70, 1998), without
-    recursion: x[:m] is the current partition, x[m:] is all ones, and h
-    indexes its last part above 1.  The next partition lowers x[h] by one
+
+def _zs1(d):
+    """The partitions of d, (d) first, one at a time in reverse lexicographic
+    order by ZS1 (Zoghbi and Stojmenovic, Int. J. Comput. Math. 70, 1998),
+    without recursion: x[:m] is the current partition, x[m:] is all ones, and
+    h indexes its last part above 1.  The next partition lowers x[h] by one
     and refills the parts after it with copies of the new x[h] and one
     remainder."""
-    require_natural(d, "d")
     if d == 0:
-        return [()]
+        yield ()
+        return
     x = [d] + [1] * (d - 1)
     m, h = 1, 0
-    out = [(d,)]
+    yield (d,)
     while x[0] != 1:
         if x[h] == 2:
             x[h] = 1
@@ -64,11 +69,10 @@ def partitions(d):
             m = h + 2
             if t > 1:
                 h += 1
-        out.append(tuple(x[:m]))
-    return out
+        yield tuple(x[:m])
 
 
-def transpose(partition):
+def _transpose(partition):
     """Conjugate partition, one pass over the parts from the smallest up:
     column a holds k boxes when p_(k+1) <= a < p_k."""
     columns, k = [], len(partition)
@@ -84,7 +88,7 @@ def ideal_from_partition(partition):
     return MonomialIdealPlane(partition=partition)
 
 
-def standard_exponents(partition):
+def _standard_exponents(partition):
     """Boxes of the diagram as (a, b) pairs: a column index, b row index."""
     return [(a, b) for b, width in enumerate(partition) for a in range(width)]
 
@@ -93,7 +97,7 @@ def tangent_character_armleg(ideal):
     """Tangent character from the diagram: each box c contributes the weights
     (arm(c)+1, -leg(c)) and (-arm(c), leg(c)+1), box by box along the rows."""
     partition = require_instance(ideal, MonomialIdealPlane, "ideal").partition
-    tr = transpose(partition)
+    tr = _transpose(partition)
     entries = {}
     for b, p in enumerate(partition):
         for a in range(p):
@@ -125,7 +129,7 @@ def tangent_character_linalg(ideal):
     """
     partition = require_instance(ideal, MonomialIdealPlane, "ideal").partition
     gens = _corners(partition)
-    boxes = set(standard_exponents(partition))
+    boxes = set(_standard_exponents(partition))
     shifts = {(a - ga, b - gb) for a, b in boxes for ga, gb in gens}
     entries = {}
     for d1, d2 in sorted(shifts):
@@ -251,7 +255,7 @@ def poincare_histogram(d, w):
     """
     if not is_generic(d, w):
         # some partition is a witness (see is_generic); the first one raises
-        for partition in partitions(d):
+        for partition in _zs1(d):
             cell_dimension(ideal_from_partition(partition), w)
     counts = _counts_by_parts(d)
     if w[0] > 0 and w[1] > 0:

@@ -6,7 +6,6 @@ queries are answered in the saturation cone(S) intersected with Z^n.
 """
 
 from dataclasses import dataclass
-from itertools import count
 from operator import mul
 
 from . import intlinalg, polyhedra
@@ -41,12 +40,16 @@ class LatticeProjection:
 def _build(generators, rank):
     gens = tuple(generators)
     normals = tuple(polyhedra.cone_inequalities(gens, rank))
-    lineality = intlinalg.kernel_basis(normals, rank)
+    # the lineality space is the least face, spanned by the generators it
+    # holds: unless a nonzero generator vanishes on every normal, it is zero
+    lineality = ()
+    if any(any(g) and not any(sum(map(mul, a, g)) for a in normals) for g in gens):
+        lineality = tuple(tuple(v) for v in intlinalg.kernel_basis(normals, rank))
     return AffineMonoid(
         rank=rank,
         generators=gens,
         facet_normals=normals,
-        lineality_basis=tuple(tuple(v) for v in lineality),
+        lineality_basis=lineality,
     )
 
 
@@ -92,52 +95,65 @@ def kempf_vector(monoid):
     """The integer vector w of minimal max-norm, ties broken lexicographically,
     pairing >= 1 with every nonzero generator.
 
-    Such w exists precisely because the cone is pointed: the dual cone is
-    full-dimensional, so its interior contains integer points.  For n = 1,
-    2, ... a lexicographic depth-first search of [-n, n]^rank that tightens
-    the bounds by every pairing at each node returns its first valid leaf,
-    whose norm is n since the box of n - 1 holds no valid vector.
+    The cone is pointed, so a nonzero generator pairs positively with some
+    facet normal and to zero with the span's equations, whose opposite pairs
+    cancel: the sum w0 of all facet normals is valid, and N0 = max|w0_i|
+    bounds the answer's norm.  A lexicographic depth-first search of
+    [-n, n]^rank, tightening the bounds by every pairing at each node, finds
+    the first valid leaf or None.  Validity is monotone in n: after n = 1,
+    n doubles, capped at N0, then bisects to the least n with a leaf, which
+    is the answer since no smaller box holds a valid vector.
     """
     require_zero(monoid)
-    gens = [g for g in monoid.generators if any(x != 0 for x in g)]
-    if not gens:
-        return KempfVector(w=(0,) * monoid.rank)
-    for n in count(1):
-        w = _lex_first(gens, [-n] * monoid.rank, [n] * monoid.rank)
-        if w is not None:
-            return KempfVector(w=w)
+    # the distinct nonzero generators, first seen first, as (j, a) pairs
+    rows = [tuple((j, a) for j, a in enumerate(g) if a)
+            for g in dict.fromkeys(monoid.generators) if any(g)]
+    rank = monoid.rank
+    w = _lex_first(rows, [-1] * rank, [1] * rank) if rows else (0,) * rank
+    if w is not None:
+        return KempfVector(w=w)
+    # the box of lo holds no valid vector, and the box of hi does: w, once found
+    lo, hi = 1, max(abs(sum(column)) for column in zip(*monoid.facet_normals))
+    while w is None or hi - lo > 1:
+        n = min(2 * lo, hi) if w is None else (lo + hi) // 2
+        found = _lex_first(rows, [-n] * rank, [n] * rank)
+        if found is None:
+            lo = n
+        else:
+            hi, w = n, found
+    return KempfVector(w=w)
 
 
-def _lex_first(gens, lo, hi):
+def _lex_first(rows, lo, hi):
     """Lexicographically smallest integer w with lo <= w <= hi and
-    <w, g> >= 1 for every g in gens, or None."""
-    if not _tighten(gens, lo, hi):
+    <w, g> >= 1 for every sparse row g, or None."""
+    if not _tighten(rows, lo, hi):
         return None
     i = next((i for i in range(len(lo)) if lo[i] < hi[i]), None)
     if i is None:
         return tuple(lo)
     for v in range(lo[i], hi[i] + 1):
-        w = _lex_first(gens, lo[:i] + [v] + lo[i + 1:], hi[:i] + [v] + hi[i + 1:])
+        w = _lex_first(rows, lo[:i] + [v] + lo[i + 1:], hi[:i] + [v] + hi[i + 1:])
         if w is not None:
             return w
     return None
 
 
-def _tighten(gens, lo, hi):
-    """Shrink lo, hi in place by every <w, g> >= 1 until nothing changes;
-    False when some constraint cannot be met in the box.  Tightening by g
-    keeps lo <= hi and the largest value of <w, g> over the box."""
+def _tighten(rows, lo, hi):
+    """Shrink lo, hi in place by every <w, g> >= 1, g a sparse row, until
+    nothing changes; False when some constraint cannot be met in the box.
+    Tightening by g keeps lo <= hi and the largest value of <w, g> over the
+    box; the fixpoint is the largest box every row leaves unchanged."""
     changed = True
     while changed:
         changed = False
-        for g in gens:
-            ends = [hi[j] if a > 0 else lo[j] for j, a in enumerate(g)]
-            top = sum(a * e for a, e in zip(g, ends))
+        for row in rows:
+            top = sum(a * (hi[j] if a > 0 else lo[j]) for j, a in row)
             if top < 1:
                 return False
-            for j, a in enumerate(g):
+            for j, a in row:
                 # a * w_j >= 1 - (the largest value of the other terms)
-                need = 1 - top + a * ends[j]
+                need = 1 - top + a * (hi[j] if a > 0 else lo[j])
                 if a > 0 and -(-need // a) > lo[j]:
                     lo[j], changed = -(-need // a), True
                 elif a < 0 and need // a < hi[j]:

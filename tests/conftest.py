@@ -78,6 +78,90 @@ def brute_kempf_vector(monoid, max_norm=None):
                 return w
 
 
+def scan_kempf_vector(monoid):
+    """lattice.kempf_vector by the scan it replaced, kept as its oracle: for
+    n = 1, 2, ... a lexicographic depth-first search of [-n, n]^rank that
+    tightens dense bounds by every nonzero generator, repeats included, at
+    each node; the first valid leaf at the first n with one is the answer."""
+    gens = [g for g in monoid.generators if any(x != 0 for x in g)]
+    if not gens:
+        return (0,) * monoid.rank
+    for n in count(1):
+        w = _scan_lex_first(gens, [-n] * monoid.rank, [n] * monoid.rank)
+        if w is not None:
+            return w
+
+
+def _scan_lex_first(gens, lo, hi):
+    if not _scan_tighten(gens, lo, hi):
+        return None
+    i = next((i for i in range(len(lo)) if lo[i] < hi[i]), None)
+    if i is None:
+        return tuple(lo)
+    for v in range(lo[i], hi[i] + 1):
+        w = _scan_lex_first(gens, lo[:i] + [v] + lo[i + 1:], hi[:i] + [v] + hi[i + 1:])
+        if w is not None:
+            return w
+    return None
+
+
+def _scan_tighten(gens, lo, hi):
+    changed = True
+    while changed:
+        changed = False
+        for g in gens:
+            ends = [hi[j] if a > 0 else lo[j] for j, a in enumerate(g)]
+            top = sum(a * e for a, e in zip(g, ends))
+            if top < 1:
+                return False
+            for j, a in enumerate(g):
+                need = 1 - top + a * ends[j]
+                if a > 0 and -(-need // a) > lo[j]:
+                    lo[j], changed = -(-need // a), True
+                elif a < 0 and need // a < hi[j]:
+                    hi[j], changed = need // a, True
+    return True
+
+
+def skew_chain(rank, k):
+    """The generators e_1 and e_i - k e_(i-1) for i = 2..rank, whose Kempf
+    vector is w_i = 1 + k + ... + k^(i-1)."""
+    return [tuple(int(j == i) - k * (j == i - 1) for j in range(rank))
+            for i in range(rank)]
+
+
+def random_generator_set(rng, max_rank=5, pointed=False):
+    """(generators, rank) with entries in -3..3 through an embedding: a
+    generator set in Z^s, s <= rank, sent into Z^rank by an integer matrix of
+    full column rank, so the cone often lies in a proper subspace.  It has a
+    zero generator and a repeated one about one time in four each.  With
+    pointed, every generator in Z^s pairs positively with one functional;
+    otherwise about half the sets hold a generator and its negative."""
+    rank = rng.randint(1, max_rank)
+    s = rng.randint(1, rank)
+    while True:
+        embed = [[rng.randint(-2, 2) for _ in range(s)] for _ in range(rank)]
+        if rank_of(embed) == s:
+            break
+    c = [rng.randint(-2, 2) for _ in range(s)]
+    if not any(c):
+        c[0] = 1
+    n_gens, gens = rng.randint(1, s + 3), []
+    while len(gens) < n_gens:
+        g = [rng.randint(-3, 3) for _ in range(s)]
+        if not pointed or sum(x * y for x, y in zip(c, g)) >= 1:
+            gens.append(g)
+    if not pointed and rng.random() < 0.5:
+        gens.append([-x for x in rng.choice(gens)])
+    gens = [tuple(intlinalg.mat_vec(embed, g)) for g in gens]
+    if rng.random() < 0.25:
+        gens.append((0,) * rank)
+    if rng.random() < 0.25:
+        gens.append(rng.choice(gens))
+    rng.shuffle(gens)
+    return gens, rank
+
+
 def mat_mul(a, b):
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
     return [
@@ -278,7 +362,7 @@ def matrix_hom_dimension(partition, gens, delta):
     per syzygy whose shifted lcm is a box, with +1 and -1 at its live
     generators; the degree-delta dimension is the columns minus the rank."""
     d1, d2 = delta
-    boxes = set(hilb.standard_exponents(partition))
+    boxes = set(hilb._standard_exponents(partition))
     live = [t for t, (a, b) in enumerate(gens) if (a + d1, b + d2) in boxes]
     index = {t: i for i, t in enumerate(live)}
     rows = []

@@ -188,7 +188,7 @@ def test_criterion_6_hilbert_suite():
                 failures.append((p, "zero tangent weight"))
             swapped = {(b, a): m for (a, b), m in armleg.items()}
             transposed = hilb.tangent_character_armleg(
-                hilb.ideal_from_partition(hilb.transpose(p))
+                hilb.ideal_from_partition(hilb._transpose(p))
             )
             if transposed != swapped:
                 failures.append((p, "transpose duality"))

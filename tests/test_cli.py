@@ -268,6 +268,8 @@ class TestErrorPaths:
         (["-d", "6", "-w=-4,-2"],
          "weight (-4, -2) pairs to zero with tangent weight (-1, 2) "
          "at partition (3, 3)"),
+        (["-d", "55", "-w", "1,1"],
+         "weight (1, 1) pairs to zero with tangent weight (-1, 1) at partition (55,)"),
     ])
     def test_poincare_non_generic_error_is_pinned(self, flags, message, capsys):
         for mode in ([], ["--json"]):

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -55,7 +56,7 @@ class TestPartitions:
         for d in range(16):
             for p in hilb.partitions(d):
                 columns = p[0] if p else 0
-                assert hilb.transpose(p) == tuple(
+                assert hilb._transpose(p) == tuple(
                     sum(1 for part in p if part > a) for a in range(columns)
                 ), p
 
@@ -80,7 +81,7 @@ class TestIdealFromPartition:
     def test_box_count(self):
         for d in range(1, 9):
             for p in hilb.partitions(d):
-                assert len(hilb.standard_exponents(p)) == d
+                assert len(hilb._standard_exponents(p)) == d
 
     def test_staircase_shape(self):
         for p in hilb.partitions(6):
@@ -127,7 +128,7 @@ class TestTangentCharacters:
         for d in range(1, 16):
             for p in hilb.partitions(d):
                 gens = hilb._corners(p)
-                boxes = set(hilb.standard_exponents(p))
+                boxes = set(hilb._standard_exponents(p))
                 for delta in {(a - ga, b - gb) for a, b in boxes for ga, gb in gens}:
                     assert hilb._hom_dimension(boxes, gens, delta) == (
                         matrix_hom_dimension(p, gens, delta)
@@ -152,7 +153,7 @@ class TestTangentCharacters:
         for d in range(1, 9):
             for p in hilb.partitions(d):
                 swapped = {(b, a): m for (a, b), m in char(p).items()}
-                assert char(hilb.transpose(p)) == swapped
+                assert char(hilb._transpose(p)) == swapped
 
 
 # calls given something other than a MonomialIdealPlane, and plane ideals
@@ -208,7 +209,7 @@ class TestCellDimension:
             for p in hilb.partitions(d):
                 a = hilb.cell_dimension(hilb.ideal_from_partition(p), (2, 7))
                 b = hilb.cell_dimension(
-                    hilb.ideal_from_partition(hilb.transpose(p)), (7, 2)
+                    hilb.ideal_from_partition(hilb._transpose(p)), (7, 2)
                 )
                 assert a == b
 
@@ -320,6 +321,22 @@ class TestPoincare:
         with pytest.raises(NonGenericWeight) as err:
             hilb.poincare_histogram(2, (1, 1))
         assert err.value.weight == (1, 1)
+
+    def test_non_generic_witness_is_found_lazily(self):
+        # the whole partitions(55) list took 1.67 s and a 74.6 MB traced
+        # peak before the first partition, (55,), raised
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(NonGenericWeight) as err:
+                hilb.poincare_histogram(55, (1, 1))
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.partition == (55,)
+        assert elapsed < 0.25
+        assert peak < 1_000_000
 
     def test_histogram_counts_partitions_by_largest_part(self):
         # Ellingsrud-Stromme: under (1, d+1) the cells of dimension d + k

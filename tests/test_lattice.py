@@ -16,10 +16,13 @@ from conftest import (
     fraction_rank_det,
     kernel_cone_inequalities,
     minor_cone_inequalities,
+    random_generator_set,
     random_monoid,
     random_pointed_monoid,
     rank_of,
+    scan_kempf_vector,
     seeded,
+    skew_chain,
     solve_exact,
 )
 
@@ -167,12 +170,47 @@ class TestKempfVector:
                 compared += 1
 
     def test_skew_chains(self):
-        # the shell search took 2.7 s at k = 5 and more than 60 s at k = 9
+        # the shell search took 2.7 s at rank 3 with k = 5; the scan of
+        # n = 1, 2, ... took 3.5 s at rank 5 with k = 20 and did not finish
+        # at rank 10 with k = 20
+        chains = [(3, k) for k in range(1, 10)]
+        chains += [(rank, k) for rank in range(3, 11) for k in (3, 9, 20)]
         start = time.perf_counter()
-        for k in range(1, 10):
-            m = mono([(1, 0, 0), (-k, 1, 0), (0, -k, 1)], 3)
-            assert lattice.kempf_vector(m).w == (1, k + 1, k * k + k + 1)
+        for rank, k in chains:
+            m = mono(skew_chain(rank, k), rank)
+            expected = tuple(sum(k ** e for e in range(i + 1)) for i in range(rank))
+            assert lattice.kempf_vector(m).w == expected, (rank, k)
         assert time.perf_counter() - start < 1.0
+
+    def test_matches_scan_oracle(self):
+        # pointed monoids of rank 1..5, with repeated and zero generators
+        # and cones in proper subspaces
+        rng = seeded(110)
+        seen = {"proper subspace": 0, "zero": 0, "repeated": 0, "norm >= 2": 0}
+        for _ in range(2000):
+            gens, rank = random_generator_set(rng, pointed=True)
+            m = mono(gens, rank)
+            w = lattice.kempf_vector(m).w
+            assert w == scan_kempf_vector(m), gens
+            seen["proper subspace"] += rank_of([list(g) for g in gens]) < rank
+            seen["zero"] += (0,) * rank in gens
+            seen["repeated"] += len(set(gens)) < len(gens)
+            seen["norm >= 2"] += max(map(abs, w)) >= 2
+        assert min(seen.values()) >= 50, seen
+
+    def test_bound_is_the_sum_of_the_facet_normals(self):
+        # the thin rank-6 cone of the docs: bisection below N0 does not finish
+        m = mono(THIN_RANK6, 6)
+        w0 = [sum(column) for column in zip(*m.facet_normals)]
+        assert max(map(abs, w0)) == 668_692_701
+        assert all(dot(w0, g) >= 1 for g in THIN_RANK6)
+
+
+THIN_RANK6 = [
+    (-32, 22, -9, 4, -21, 13), (40, 10, -13, -24, -24, 9), (-12, 1, 19, -25, -29, 34),
+    (13, -2, -36, -5, 10, -1), (35, -28, 9, -33, 9, 12), (-5, -11, 12, 35, 20, -20),
+    (3, -27, -29, -21, 3, 37), (17, -17, -33, 30, 27, -16), (-22, 31, -22, 5, 19, -33),
+]
 
 
 class TestReduceToZero:
@@ -253,6 +291,19 @@ class TestRandomInvariants:
                 assert lattice.contains(m, point) == lattice.contains(
                     proj.image_monoid, proj.apply(point)
                 )
+
+    def test_pointed_cones_skip_the_kernel(self):
+        # the lineality basis is the Hermite kernel of the facet normals,
+        # computed only when some nonzero generator vanishes on all of them
+        rng = seeded(111)
+        with_units = 0
+        for _ in range(2000):
+            gens, rank = random_generator_set(rng)
+            m = mono(gens, rank)
+            expected = intlinalg.kernel_basis([list(a) for a in m.facet_normals], rank)
+            assert m.lineality_basis == tuple(map(tuple, expected)), gens
+            with_units += bool(m.lineality_basis)
+        assert 500 <= with_units <= 1500
 
     def test_reduction_is_identity_on_pointed(self):
         rng = seeded(105)
