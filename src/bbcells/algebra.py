@@ -32,11 +32,24 @@ from .errors import (
 IDENT = re.compile("[A-Za-z][A-Za-z0-9_]*")  # variable names: ASCII identifiers
 
 
-def require_name(name):
-    """The name, which must be a str that is an ASCII identifier (IDENT)."""
-    if not isinstance(name, str) or not IDENT.fullmatch(name):
-        raise ValueError(f"invalid variable name {name!r}")
-    return name
+def require_names(names):
+    """The tuple of the names, taken in order, which must be distinct ASCII
+    identifiers (IDENT), else ValueError at the first name that is not."""
+    checked = []
+    for name in names:
+        if not isinstance(name, str) or not IDENT.fullmatch(name):
+            raise ValueError(f"invalid variable name {name!r}")
+        checked.append(name)
+    if len(set(checked)) != len(checked):
+        raise ValueError("variable names must be unique")
+    return tuple(checked)
+
+
+def _name_of(variable):
+    """The name of a variable, which must be a (name, weight) pair."""
+    if len(require_sequence(variable, "variable")) != 2:
+        raise ValueError(f"variable {variable!r} is not a (name, weight) pair")
+    return variable[0]
 
 
 @dataclass(frozen=True)
@@ -46,12 +59,7 @@ class VariableWeighting:
 
     def __post_init__(self):
         require_rank(self.torus_rank, "torus rank")
-        for entry in require_sequence(self.variables, "variables"):
-            if len(require_sequence(entry, "variable")) != 2:
-                raise ValueError(f"variable {entry!r} is not a (name, weight) pair")
-            require_name(entry[0])
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("variable names must be unique")
+        require_names(map(_name_of, require_sequence(self.variables, "variables")))
         object.__setattr__(self, "variables", tuple(
             (name, require_vector(weight, self.torus_rank, f"weight of {name}"))
             for name, weight in self.variables))
@@ -107,13 +115,6 @@ def make_polynomial(terms):
     return GradedPolynomial(terms=tuple(out))
 
 
-def monic(poly):
-    if poly.is_zero:
-        return poly
-    lead = poly.terms[0][0]
-    return GradedPolynomial(terms=tuple((c / lead, e) for c, e in poly.terms))
-
-
 @dataclass(frozen=True)
 class GradedPresentation:
     """A weighting and its relations, each checked homogeneous here."""
@@ -160,6 +161,9 @@ def minimalize_monomials(monomials):
 
 @dataclass(frozen=True)
 class StabilizationReport:
+    """`stable`: the dimensions from level n_lambda on are all equal; vacuously
+    true when n_max < n_lambda, since no computed level reaches the bound."""
+
     weight: tuple
     n_lambda: int
     dimensions: tuple  # dim (A_n)_lambda for n = 0..n_max
@@ -168,10 +172,7 @@ class StabilizationReport:
 
 
 def weight_of(exps, weighting):
-    return _weight(require_vector(exps, len(weighting.variables), "monomial"), weighting)
-
-
-def _weight(exps, weighting):
+    exps = require_vector(exps, len(weighting.variables), "monomial")
     total = [0] * weighting.torus_rank
     for e, (_, w) in zip(exps, weighting.variables):
         for i in range(weighting.torus_rank):
@@ -220,9 +221,10 @@ def _substitute_zero(presentation, removed_names):
             for c, e in rel.terms
             if all(e[i] == 0 for i in removed_idx)
         ]
-        poly = monic(make_polynomial(kept_terms))
-        if not poly.is_zero:
-            relations.append(poly)
+        terms = make_polynomial(kept_terms).terms
+        if terms:  # made monic: every coefficient over the leading one
+            lead = terms[0][0]
+            relations.append(GradedPolynomial(tuple((c / lead, e) for c, e in terms)))
     relations = sorted(set(relations), key=GradedPolynomial.sort_key)
     return GradedPresentation(weighting=new_weighting, relations=tuple(relations))
 
@@ -351,6 +353,7 @@ def stabilization_check(quotient, monoid, weight, n_max):
     For a torus the isotypic component of a weight is the single character, so
     the bound is its Kempf degree n_lambda = <kempf vector, weight>.  The
     dimension at level n counts the monomials of the weight of J-order <= n.
+    `stable` is vacuously true when n_max < n_lambda.
     """
     weight, n_lambda, orders = _weight_orders(quotient, monoid, weight)
     if type(n_max) is not int:

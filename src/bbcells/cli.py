@@ -1,63 +1,75 @@
 """Command-line surface: `bbcells <group> <command>`, one entry per
 subcommand in the command table `_TABLE`.
 
-Handlers return library values and `_encode` alone turns every integer into
-a decimal string, so arbitrary-precision values survive any JSON reader.
-`main` prints that one encoded value, as JSON with `--json` and through
-`_text_lines` without it.  Identical inputs give byte-identical outputs.
-Exit codes: 0 success, 1 domain error, 2 usage error.
+A handler checks its input, so an error leaves stdout empty, and returns an
+object; `_walk` alone writes it, each record as it is computed.  Every int
+that is not a bool prints as a decimal, quoted in JSON, so arbitrary-
+precision values survive any JSON reader.  `--json` gives the bytes of
+json.dumps(indent=2).  Text is one `key: value` line per field; a field's
+object, or each object of a table, goes on its own line below, indented by
+two spaces.  Deeper values are inline: lists in brackets, objects as
+comma-joined `key: value` fields, strings bare unless they read as true,
+false or null.  A list, tuple or iterator whose first item is an object is
+a table, all of whose items are objects.  Identical inputs give identical
+bytes.  Exit codes: 0 success, 1 domain error, 2 usage error.
 """
 
 import argparse
 import json
+import os
 import re
 import sys
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict
+from itertools import chain
 
 from . import algebra, hilb, lattice, polyparse
 from .errors import DomainError
 
 _DECIMAL = re.compile(r"-?[0-9]+")
+_END = object()  # the end of an iterator, as next() reports it
 
 
-def _encode(value):
-    """The JSON form of a handler's value: dataclasses become objects in field
-    order, tuples become lists, and every int that is not a bool becomes a
-    decimal string.  None, bools and strings pass through."""
-    if is_dataclass(value):
-        value = asdict(value)
-    if isinstance(value, dict):
-        return {key: _encode(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
-    if isinstance(value, int) and not isinstance(value, bool):
-        return str(value)
-    return value
-
-
-def _inline(value):
-    """One line of an encoded value: strings bare unless they read as a JSON
-    literal, lists in brackets, objects as comma-joined `key: value` fields,
-    and true, false and null as in JSON."""
-    if isinstance(value, str) and value not in ("true", "false", "null"):
-        return value
-    if isinstance(value, list):
-        return "[" + ", ".join(map(_inline, value)) + "]"
-    if isinstance(value, dict):
-        return ", ".join(f"{key}: {_inline(v)}" for key, v in value.items())
-    return json.dumps(value)
-
-
-def _text_lines(obj):
-    """The text form of an encoded object: one `key: value` line per field, but
-    a nested object, or each object of a list of objects, on its own line below."""
-    for key, value in obj.items():
-        rows = [value] if isinstance(value, dict) else value
-        if rows and isinstance(rows, list) and all(isinstance(v, dict) for v in rows):
-            yield f"{key}:"
-            yield from (f"  {_inline(v)}" for v in rows)
-        else:
-            yield f"{key}: {_inline(value)}"
+def _walk(value, write, as_json, depth=0):
+    """Write a handler's object through `write` in the form of the module
+    docstring, JSON or text, each item as the object yields it."""
+    keyed = isinstance(value, dict)
+    items = iter(value.items() if keyed else value)
+    first = next(items, _END)
+    if not as_json and depth == 1:  # a field of the top object, after `key:`
+        if keyed or isinstance(first, dict):  # a table: one line per object
+            for row in [value] if keyed else chain([first], items):
+                write("\n  ")
+                _walk(row, write, False, 2)
+            return
+        write(" ")
+    if as_json:
+        opening, between, closing = "{,}" if keyed else "[,]"
+        pad = "\n" + "  " * (depth + 1)
+    else:
+        opening, closing = ("", "") if keyed else "[]"
+        between, pad = ", " if depth else "\n", ""
+    if first is _END:
+        write(opening + closing)
+        return
+    sep = opening + pad
+    for v in chain([first], items):
+        key = ""
+        if keyed:
+            k, v = v
+            key = (json.dumps(k) if as_json else k) + ": "
+        t = type(v)
+        if t is int:
+            write(f'{sep}{key}"{v}"' if as_json else f"{sep}{key}{v}")
+        elif t is str:
+            quoted = as_json or v in ("true", "false", "null")
+            write(sep + key + (json.dumps(v) if quoted else v))
+        elif t is bool or v is None:
+            write(sep + key + ("null" if v is None else "true" if v else "false"))
+        else:  # a field of the top text object writes its own lead after `key:`
+            write(sep + (key if as_json or depth else key[:-1]))
+            _walk(v, write, as_json, depth + 1)
+        sep = between + pad
+    write(pad[:-2] + closing)
 
 
 def _decimal(text):
@@ -196,7 +208,7 @@ _GROUPS = {
 }
 
 # (group, command) -> (help text, option keys in order, handler); a handler
-# takes the parsed arguments and returns a library value for _encode
+# takes the parsed arguments and returns an object for _walk
 _TABLE = {}
 
 
@@ -219,7 +231,7 @@ def _monoid_analyze(args):
 
 @_command("monoid", "reduce", "project away the unit lattice", "input")
 def _monoid_reduce(args):
-    return lattice.reduce_to_zero(load_monoid(args.input))
+    return asdict(lattice.reduce_to_zero(load_monoid(args.input)))
 
 
 def _presentation(pres):
@@ -267,7 +279,7 @@ def _algebra_truncate(args):
 def _algebra_stabilize(args):
     quotient = load_quotient(args.input)
     monoid = load_monoid(args.monoid)
-    return algebra.stabilization_check(quotient, monoid, args.w, args.n)
+    return asdict(algebra.stabilization_check(quotient, monoid, args.w, args.n))
 
 
 @_command("algebra", "algebraize", "compare truncations with the full algebra",
@@ -287,11 +299,11 @@ def _hilb_fixed_points(args):
 
 def _per_fixed_point(d, field, compute, *flows, **extra):
     """One record {partition, field: compute(ideal, *flows), **extra} per
-    fixed point, in `hilb fixed-points` order."""
-    return [
-        {"partition": p, field: compute(hilb.ideal_from_partition(p), *flows), **extra}
-        for p in hilb.partitions(d)
-    ]
+    fixed point, in `hilb fixed-points` order, each computed as it is read.
+    d and every flow are checked first, so no record raises."""
+    hilb.require_generic(d, *flows)
+    return ({"partition": p, field: compute(hilb.ideal_from_partition(p), *flows), **extra}
+            for p in hilb.partitions(d))  # called here, not when read
 
 
 def _character(ideal):
@@ -315,7 +327,7 @@ def _one_weight(args):
 @_command("hilb", "cells", "cell dimensions for a weight vector", "d", "flows")
 def _hilb_cells(args):
     w = _one_weight(args)
-    # cell_dimension rejects weights that are not generic: "generic" is always true
+    # a weight that is not generic raises first: "generic" is always true
     cells = _per_fixed_point(args.d, "dimension", hilb.cell_dimension, w, generic=True)
     return {"d": args.d, "weight": w, "cells": cells}
 
@@ -373,22 +385,23 @@ def main(argv=None):
         args = PARSER.parse_args(argv)
         handler = _TABLE[args.group, args.command][2]
         try:
-            value = _encode(handler(args))
+            _walk(handler(args), sys.stdout.write, args.json)
+            sys.stdout.write("\n")
+            sys.stdout.flush()  # inside the try: a closed pipe raises here
+            return 0
         except DomainError as exc:
-            sys.stderr.write(f"error[{exc.code}]: {exc}\n")
-            return 1
+            code, message = exc.code, exc
         except FileNotFoundError as exc:
-            sys.stderr.write(f"error[missing-file]: {exc}\n")
-            return 1
-        except KeyError as exc:
-            # str() of a KeyError is the repr of the key
-            sys.stderr.write(f"error[bad-input]: missing key {exc}\n")
-            return 1
+            code, message = "missing-file", exc
+        except KeyError as exc:  # str() of a KeyError is the repr of the key
+            code, message = "bad-input", f"missing key {exc}"
+        except BrokenPipeError as exc:
+            # the rest, and the flush at exit, go to devnull (see `signal` docs)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            code, message = "broken-pipe", exc
         except (OSError, ValueError) as exc:
-            sys.stderr.write(f"error[bad-input]: {exc}\n")
-            return 1
-        text = json.dumps(value, indent=2) if args.json else "\n".join(_text_lines(value))
-        sys.stdout.write(text + "\n")
-        return 0
+            code, message = "bad-input", exc
+        sys.stderr.write(f"error[{code}]: {message}\n")
+        return 1
     finally:
         sys.set_int_max_str_digits(limit)

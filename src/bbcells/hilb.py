@@ -226,6 +226,14 @@ def is_generic(d, w):
     return (w1 > 0) != (w2 > 0) or (abs(w1) + abs(w2)) // gcd(w1, w2) > d
 
 
+def require_generic(d, *flows):
+    """Raise NonGenericWeight unless every flow is generic at d: the error of
+    the first witness in partitions(d) order, which exists (see is_generic)."""
+    if not all(is_generic(d, w) for w in flows):
+        for partition in _zs1(d):
+            intersection_dimension(ideal_from_partition(partition), *flows)
+
+
 def _counts_by_parts(d):
     """[p(d, k) for k = 0..d], the numbers of partitions of d with exactly k
     parts, by p(n, k) = p(n-1, k-1) + p(n-k, k), one column k at a time."""
@@ -250,13 +258,9 @@ def poincare_histogram(d, w):
     the one for -w, so d - k.  With mixed signs, one of the two tangent
     weights of each box pairs positively: every cell has dimension d.
 
-    Raises NonGenericWeight if w pairs to zero with some tangent weight,
-    naming the first witness in partitions(d) order.
+    Raises NonGenericWeight as require_generic does.
     """
-    if not is_generic(d, w):
-        # some partition is a witness (see is_generic); the first one raises
-        for partition in _zs1(d):
-            cell_dimension(ideal_from_partition(partition), w)
+    require_generic(d, w)
     counts = _counts_by_parts(d)
     if w[0] > 0 and w[1] > 0:
         rows = [(d + k, counts[k]) for k in range(d + 1)]

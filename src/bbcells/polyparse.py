@@ -14,7 +14,7 @@ printed string reproduces the polynomial exactly.
 import re
 from fractions import Fraction
 
-from .algebra import IDENT, GradedPolynomial, make_polynomial, require_name
+from .algebra import IDENT, GradedPolynomial, make_polynomial, require_names
 from .errors import (
     ExponentOverflow, PolynomialSyntaxError, UnknownVariable, require_instance,
     require_sequence, require_vector,
@@ -58,22 +58,13 @@ def _number(toks):
     return int(digits), offset
 
 
-def _names(variables):
-    """The tuple of variables, which must be a list or tuple of distinct
-    names, each an ASCII identifier as in a VariableWeighting."""
-    names = tuple(map(require_name, require_sequence(variables, "variables")))
-    if len(set(names)) != len(names):
-        raise ValueError("variable names must be unique")
-    return names
-
-
 def parse_polynomial(text, variables):
     """Canonical GradedPolynomial from a source string.
 
     `variables` lists the distinct declared names; exponent tuples follow
     their order.
     """
-    variables = _names(variables)
+    variables = require_names(require_sequence(variables, "variables"))
     index = {name: i for i, name in enumerate(variables)}
     toks = _tokens(require_instance(text, str, "polynomial text"))
     sign = -1 if _take(toks, "-") else 1
@@ -124,7 +115,7 @@ def print_polynomial(poly, variables):
     """Canonical source string; the empty sum prints as '0'.  Each exponent
     tuple must have one entry per variable, else RankMismatch."""
     require_instance(poly, GradedPolynomial, "polynomial")
-    variables = _names(variables)
+    variables = require_names(require_sequence(variables, "variables"))
     if poly.is_zero:
         return "0"
     pieces = []

@@ -1,6 +1,8 @@
 """Shared random generators and independent oracles for the test suite."""
 
+import json
 import random
+from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, count, product
@@ -494,6 +496,92 @@ def random_monomial_quotient(rng, monoid, max_vars=4):
     return algebra.MonomialQuotient(
         weighting=weighting, minimal_generators=tuple(gens)
     )
+
+
+def _encode(value):
+    """The JSON form of a handler's value: dataclasses become objects in field
+    order, tuples become lists, and every int that is not a bool becomes a
+    decimal string.  None, bools and strings pass through."""
+    if is_dataclass(value):
+        value = asdict(value)
+    if isinstance(value, dict):
+        return {key: _encode(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    return value
+
+
+def _inline(value):
+    """One line of an encoded value: strings bare unless they read as a JSON
+    literal, lists in brackets, objects as comma-joined `key: value` fields,
+    and true, false and null as in JSON."""
+    if isinstance(value, str) and value not in ("true", "false", "null"):
+        return value
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_inline, value)) + "]"
+    if isinstance(value, dict):
+        return ", ".join(f"{key}: {_inline(v)}" for key, v in value.items())
+    return json.dumps(value)
+
+
+def _text_lines(obj):
+    """The text form of an encoded object: one `key: value` line per field, but
+    a nested object, or each object of a list of objects, on its own line below."""
+    for key, value in obj.items():
+        rows = [value] if isinstance(value, dict) else value
+        if rows and isinstance(rows, list) and all(isinstance(v, dict) for v in rows):
+            yield f"{key}:"
+            yield from (f"  {_inline(v)}" for v in rows)
+        else:
+            yield f"{key}: {_inline(value)}"
+
+
+def reference_output(value, as_json):
+    """What the CLI once printed for a handler's value, built whole: one
+    encoded copy, then json.dumps(indent=2) or the text lines; the oracle of
+    the walker in cli.py."""
+    encoded = _encode(value)
+    if as_json:
+        return json.dumps(encoded, indent=2) + "\n"
+    return "\n".join(_text_lines(encoded)) + "\n"
+
+
+OUTPUT_STRINGS = ["", "x", "true", "false", "null", 'a"b', "\u00e9", "1", "a: b, c"]
+
+
+def random_output_value(rng, depth=0):
+    """A random handler value for the output oracle: an object at the top,
+    then objects, lists and tuples over ints (negative, and of 5,000 digits),
+    bools, None and strings that read as literals or need escapes.  A list
+    whose first item is an object holds only objects, as a table does."""
+    kind = "dict" if depth == 0 else rng.choice(
+        ["leaf"] * 3 + (["dict", "list", "tuple"] if depth < 4 else []))
+    if kind == "leaf":
+        return rng.choice([
+            rng.randint(-10, 10), -(10**4999) - rng.randint(0, 9), True, False, None,
+            rng.choice(OUTPUT_STRINGS),
+        ])
+    size = rng.choice([0, 1, 2, 3])
+    if kind == "dict":
+        keys = rng.sample(OUTPUT_STRINGS + ["d", "rows", "k"], size)
+        return {key: random_output_value(rng, depth + 1) for key in keys}
+    items = [random_output_value(rng, depth + 1) for _ in range(size)]
+    if items and isinstance(items[0], dict):
+        items = [item if isinstance(item, dict) else {} for item in items]
+    return items if kind == "list" else tuple(items)
+
+
+def with_iterators(value, rng):
+    """The value with some of its lists and tuples, at any depth, replaced by
+    one-shot iterators over the same items, as a handler yields records."""
+    if isinstance(value, dict):
+        return {key: with_iterators(v, rng) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        items = [with_iterators(v, rng) for v in value]
+        return iter(items) if rng.random() < 0.5 else type(value)(items)
+    return value
 
 
 def seeded(seed):

@@ -453,6 +453,20 @@ def test_variable_names_must_be_unique():
         weighting(("x", (1,)), ("x", (2,)))
 
 
+# the variables are read in order, each checked a pair and then its name, and
+# the names are compared only after every variable has been read
+@pytest.mark.parametrize("variables, message", [
+    ((("1x", (1,)), ("y",)), "invalid variable name '1x'"),
+    ((("y",), ("1x", (1,))), "variable ('y',) is not a (name, weight) pair"),
+    ((("x", (1,)), ("x", (1,)), ("y",)), "variable ('y',) is not a (name, weight) pair"),
+    ((("x", (1,)), ("x", (1,)), (5, (1,))), "invalid variable name 5"),
+])
+def test_variable_checks_run_in_order(variables, message):
+    with pytest.raises(ValueError) as err:
+        algebra.VariableWeighting(1, variables)
+    assert str(err.value) == message
+
+
 class TestAlgebraize:
     def test_free_algebra(self):
         q = algebra.MonomialQuotient(weighting(("x", (1,)), ("y", (2,))), ())

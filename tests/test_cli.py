@@ -1,12 +1,15 @@
 import ast
+import io
 import json
 import os
 import subprocess
 import sys
-from contextlib import contextmanager
+import tracemalloc
+from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from conftest import random_output_value, reference_output, seeded, with_iterators
 
 from bbcells import algebra, cli, lattice
 from bbcells.cli import main
@@ -104,6 +107,14 @@ GOLDEN_CASES = [
     (
         "algebra_stabilize_capped",
         ["algebra", "stabilize", "-i", data("quot_capped.json"),
+         "-m", data("monoid_n.json"), "-w", "4", "-n", "3", "--json"],
+    ),
+    # n_max = 3 < n_lambda = 4: no level at or past the bound is computed, so
+    # `stable` is vacuously true while the dimensions 0, 0, 1, 2 still climb
+    # to the limit 3 (algebra_stabilize_capped is below its bound as well)
+    (
+        "algebra_stabilize_below_bound",
+        ["algebra", "stabilize", "-i", data("quot_free12.json"),
          "-m", data("monoid_n.json"), "-w", "4", "-n", "3", "--json"],
     ),
     ("hilb_fixed_points", ["hilb", "fixed-points", "-d", "3", "--json"]),
@@ -279,6 +290,21 @@ class TestErrorPaths:
                 "", f"error[non-generic-weight]: {message}\n"
             )
 
+    # the witness (3, 2, 1) is the 7th of the 11 partitions of 6: the records
+    # before it would be written if the weights were not checked first
+    @pytest.mark.parametrize("argv", [
+        ["hilb", "cells", "-d", "6", "-w=3,2"],
+        ["hilb", "intersect", "-d", "6", "-w=1,7", "-w=3,2"],
+    ])
+    def test_late_witness_leaves_stdout_empty(self, argv, capsys):
+        for mode in ([], ["--json"]):
+            assert main(argv + mode) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", (
+                "error[non-generic-weight]: weight (3, 2) pairs to zero with "
+                "tangent weight (-2, 3) at partition (3, 2, 1)\n"
+            ))
+
     @pytest.mark.parametrize("command", ["cells", "poincare"])
     def test_at_most_one_weight(self, command, capsys):
         assert main(["hilb", command, "-d", "2", "-w", "1,3", "-w", "1,1"]) == 1
@@ -406,19 +432,25 @@ def test_integer_flags_have_a_digit_limit(flag, capsys):
     assert len(captured.err) < 500
 
 
-@pytest.mark.parametrize("name,argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
-def test_module_entry_point_matches_golden(name, argv):
+def module_command(*args):
+    """`python -m bbcells *args` with src first on PYTHONPATH and stdout
+    buffered, as in a shell: the argument list and the keyword arguments of
+    a subprocess call."""
     root = os.path.dirname(HERE)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(root, "src")] + [p for p in [env.get("PYTHONPATH")] if p]
     )
+    env.pop("PYTHONUNBUFFERED", None)
+    return [sys.executable, "-m", "bbcells", *args], dict(cwd=root, env=env)
 
+
+@pytest.mark.parametrize("name,argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_module_entry_point_matches_golden(name, argv):
     def run(args):
-        proc = subprocess.run(
-            [sys.executable, "-m", "bbcells", *args],
-            cwd=root, env=env, capture_output=True, text=True, timeout=60,
-        )
+        command, where = module_command(*args)
+        proc = subprocess.run(command, **where, capture_output=True, text=True,
+                              timeout=60)
         assert (proc.returncode, proc.stderr) == (0, "")
         return proc.stdout
 
@@ -534,6 +566,71 @@ def test_long_numbers_are_syntax_errors(relation, offset, tmp_path, capsys):
         assert (captured.out, captured.err) == ("", (
             f"error[syntax-error]: number has more than 4300 digits (at byte {offset})\n"
         ))
+
+
+def test_walker_matches_the_reference():
+    # random objects, lists, tuples and iterators against the encoded copy
+    # printed whole, in both forms
+    rng = seeded(125)
+    tables = 0
+    with exact_int_strings():
+        for _ in range(600):
+            value = random_output_value(rng)
+            for as_json in (True, False):
+                out = io.StringIO()
+                cli._walk(with_iterators(value, rng), out.write, as_json)
+                expected = reference_output(value, as_json)
+                assert out.getvalue() + "\n" == expected
+            tables += "\n  " in expected
+    assert tables >= 100
+
+
+# all 1,002 records are written as they are computed, none held: building
+# the records, an encoded copy and the whole text first peaked at 12.0 MB
+# (text) and 21.8 MB (JSON)
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_records_are_not_held(mode):
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as sink, redirect_stdout(sink):
+            assert main(["hilb", "tangent", "-d", "22", *mode]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_pipe_closed_after_one_line_is_one_error_line():
+    # the text form of d = 20 is 258 kB, more than a pipe holds
+    command, where = module_command("hilb", "tangent", "-d", "20")
+    proc = subprocess.Popen(command, **where, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"d: 20\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err == "error[broken-pipe]: [Errno 32] Broken pipe\n"
+
+
+def test_pipe_closed_before_the_output_is_one_error_line():
+    # all 106 bytes wait in the buffer for the flush; one left for the flush
+    # at exit would end in "Exception ignored" on stderr and exit code 120
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    command, where = module_command("hilb", "poincare", "-d", "3")
+    try:
+        proc = subprocess.run(command, **where, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (
+        1, "error[broken-pipe]: [Errno 32] Broken pipe\n"
+    )
 
 
 @contextmanager

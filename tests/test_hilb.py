@@ -338,6 +338,31 @@ class TestPoincare:
         assert elapsed < 0.25
         assert peak < 1_000_000
 
+    # the first error of the intersection dimension at every partition, in
+    # partitions(d) order, as the per-fixed-point commands would raise it:
+    # at (6,), (3, 2) pairs to zero with no tangent weight and (1, 1) with
+    # (-1, 1), though (3, 2) alone first fails at (3, 2, 1)
+    def test_require_generic_raises_the_first_record_error(self):
+        weights = list(product(range(-3, 4), repeat=2))
+        rng = random.Random(125)
+        for d in range(7):
+            for flows in [rng.sample(weights, 2) for _ in range(60)] + [[(3, 2), (1, 1)]]:
+                expected = None
+                try:
+                    for p in hilb.partitions(d):
+                        hilb.intersection_dimension(hilb.ideal_from_partition(p), *flows)
+                except NonGenericWeight as exc:
+                    expected = str(exc)
+                try:
+                    hilb.require_generic(d, *flows)
+                    got = None
+                except NonGenericWeight as exc:
+                    got = str(exc)
+                assert got == expected
+        with pytest.raises(NonGenericWeight) as err:
+            hilb.require_generic(6, (3, 2), (1, 1))
+        assert (err.value.partition, err.value.weight) == ((6,), (1, 1))
+
     def test_histogram_counts_partitions_by_largest_part(self):
         # Ellingsrud-Stromme: under (1, d+1) the cells of dimension d + k
         # are indexed by the partitions of d with largest part k
