@@ -64,11 +64,10 @@ class PolynomialSyntaxError(DomainError):
 class UnknownVariable(DomainError):
     code = "unknown-variable"
 
-    def __init__(self, name, offset=None):
+    def __init__(self, name, offset):
         self.name = name
         self.offset = offset
-        where = f" (at byte {offset})" if offset is not None else ""
-        super().__init__(f"unknown variable '{name}'{where}")
+        super().__init__(f"unknown variable '{name}' (at byte {offset})")
 
 
 class ExponentOverflow(DomainError):

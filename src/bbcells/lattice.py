@@ -32,10 +32,6 @@ class LatticeProjection:
     matrix: tuple  # target_rank x source_rank, tuple of row tuples
     image_monoid: AffineMonoid
 
-    def apply(self, m):
-        m = require_vector(m, self.source_rank, "vector")
-        return tuple(sum(r * x for r, x in zip(row, m)) for row in self.matrix)
-
 
 def _build(generators, rank):
     gens = tuple(generators)
@@ -126,17 +122,22 @@ def kempf_vector(monoid):
 
 def _lex_first(rows, lo, hi):
     """Lexicographically smallest integer w with lo <= w <= hi and
-    <w, g> >= 1 for every sparse row g, or None."""
-    if not _tighten(rows, lo, hi):
-        return None
-    i = next((i for i in range(len(lo)) if lo[i] < hi[i]), None)
-    if i is None:
-        return tuple(lo)
-    for v in range(lo[i], hi[i] + 1):
-        w = _lex_first(rows, lo[:i] + [v] + lo[i + 1:], hi[:i] + [v] + hi[i + 1:])
-        if w is not None:
-            return w
-    return None
+    <w, g> >= 1 for every sparse row g, or None.  A depth-first search: the
+    stack holds, for each coordinate fixed on the way down, the tightened
+    box it was fixed in and the values it has left to try."""
+    stack = []
+    while True:
+        if _tighten(rows, lo, hi):
+            i = next((i for i in range(len(lo)) if lo[i] < hi[i]), None)
+            if i is None:
+                return tuple(lo)
+            stack.append((lo, hi, i, iter(range(lo[i], hi[i] + 1))))
+        while stack and (v := next(stack[-1][3], None)) is None:
+            stack.pop()
+        if not stack:
+            return None
+        lo, hi, i, _ = stack[-1]
+        lo, hi = lo[:i] + [v] + lo[i + 1:], hi[:i] + [v] + hi[i + 1:]
 
 
 def _tighten(rows, lo, hi):

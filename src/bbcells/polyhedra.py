@@ -62,25 +62,10 @@ def implies(constraints, target, dim):
     return not is_feasible(system, dim)
 
 
-def _cut(lineality, rays, g):
-    """Move the lineality and the rays onto <a, g> = 0 along the first
-    lineality vector l0 with <l0, g> != 0, turned so that it is positive, and
-    return l0; None, changing nothing, when g vanishes on the lineality.  l0
-    vanishes on the earlier generators, so no ray's zero set changes."""
-    k = next((k for k, l in enumerate(lineality) if sum(map(mul, l, g))), None)
-    if k is None:
-        return None
-    l0 = lineality.pop(k)
-    s = sum(map(mul, l0, g))
-    if s < 0:
-        l0, s = [-x for x in l0], -s
-
-    def move(v):
-        t = sum(map(mul, v, g))
-        return primitive([s * x - t * y for x, y in zip(v, l0)])
-    lineality[:] = map(move, lineality)
-    rays[:] = [(move(r), z) for r, z in rays]
-    return l0
+def _combine(a, va, b, vb):
+    """The primitive combination vb * a - va * b, which vanishes on a vector
+    where a takes the value va and b the value vb."""
+    return primitive([vb * x - va * y for x, y in zip(a, b)])
 
 
 def cone_inequalities(generators, dim):
@@ -89,37 +74,47 @@ def cone_inequalities(generators, dim):
     Returns primitive integer normal vectors a with a . x >= 0 on the cone:
     first the equations of the linear span as sorted opposite pairs (an HNF
     basis), then the sorted facet normals, each lying in that span.  The
-    normals are the extreme rays of the dual cone, from one double-description
-    pass (Fukuda and Prodon, 1996) that keeps a lineality basis and primitive
-    rays, each with the bit set of the generators it vanishes on.  A
-    generator nonzero on the lineality cuts it and adds a ray; otherwise the
-    rays negative on it go, and each negative ray adds its combination with
-    every positive one that no third ray's zero set covers.  Cutting the
-    lineality left by the span equations moves every ray into the span.
+    normals are the extreme rays of the dual cone inside the span, from one
+    double-description pass (Fukuda and Prodon, 1996) that keeps an
+    orthogonal basis of the span of the generators seen so far, as (u, <u, u>)
+    pairs, and primitive rays in that span, each with the bit set of the
+    generators it vanishes on.  A generator whose part u orthogonal to the
+    basis is nonzero leaves the span: every ray moves onto its hyperplane
+    along u, and u joins the basis and the rays.  Otherwise the rays negative
+    on it go, and each negative ray adds its combination with every positive
+    one that no third ray's zero set covers.  The basis spans what the
+    generators span, so its integer kernel gives the span's equations.
     """
     gens = sorted({tuple(g) for g in generators if any(g)})
-    lineality, rays = intlinalg.identity(dim), []
+    basis, rays = [], []
     for i, g in enumerate(gens):
         bit = 1 << i
-        l0 = _cut(lineality, rays, g)
-        if l0 is not None:
-            rays = [(r, z | bit) for r, z in rays] + [(l0, bit - 1)]
+        u = [0]  # a full basis spans Q^dim
+        if len(basis) < dim:
+            u = primitive(g)
+            for b, bb in basis:
+                t = sum(map(mul, u, b))
+                if t:
+                    u = _combine(u, t, b, bb)
+        if any(u):
+            s = sum(map(mul, u, g))  # positive: u is g less its part in the span
+            rays = [(_combine(r, sum(map(mul, r, g)), u, s), z | bit) for r, z in rays]
+            rays.append((u, bit - 1))
+            basis.append((u, sum(map(mul, u, u))))
             continue
         signed = [(r, z, sum(map(mul, r, g))) for r, z in rays]
         zeros = [z for _, z in rays]
         rays = [(r, z | bit * (v == 0)) for r, z, v in signed if v >= 0]
-        face = dim - len(lineality) - 2  # the least size of a 2-face's zero set
+        face = len(basis) - 2  # the least size of a 2-face's zero set
         for n, zn, vn in (ray for ray in signed if ray[2] < 0):
             for p, zp, vp in (ray for ray in signed if ray[2] > 0):
                 z = zp & zn
                 # adjacent: p and n are the only rays vanishing on all of z
                 if z.bit_count() >= face and sum(y & z == z for y in zeros) == 2:
-                    ray = primitive([vp * x - vn * y for x, y in zip(n, p)])
-                    rays.append((ray, z | bit))
+                    rays.append((_combine(n, vn, p, vp), z | bit))
     equations = []
-    if lineality:  # it spans the annihilator of the span
-        equations = intlinalg.row_hermite(intlinalg.kernel_basis(gens, dim))[0]
-    for e in equations:
-        _cut(lineality, rays, e)
+    if len(basis) < dim:
+        equations = intlinalg.kernel_basis([b for b, _ in basis], dim)
+        equations = intlinalg.row_hermite(equations)[0]
     pairs = {tuple(s * x for x in e) for e in equations for s in (1, -1)}
     return sorted(pairs) + sorted(tuple(r) for r, _ in rays)

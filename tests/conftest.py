@@ -172,6 +172,11 @@ def mat_mul(a, b):
     ]
 
 
+def project(proj, m):
+    """The image of the vector m under a LatticeProjection: its matrix times m."""
+    return tuple(sum(r * x for r, x in zip(row, m)) for row in proj.matrix)
+
+
 def solve_exact(mat, rhs):
     """Solve mat @ x = rhs over the rationals; returns None if inconsistent.
 

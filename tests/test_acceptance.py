@@ -13,6 +13,7 @@ from bbcells import algebra, hilb, lattice
 from bbcells.cli import main
 from conftest import (
     enumerated_algebraize_check,
+    project,
     random_homogeneous_presentation,
     random_monoid,
     random_monomial_quotient,
@@ -92,7 +93,7 @@ def test_criterion_2_monoid_suite():
         for _ in range(100):
             point = tuple(rng.randint(-6, 6) for _ in range(monoid.rank))
             if lattice.contains(monoid, point) != lattice.contains(
-                proj.image_monoid, proj.apply(point)
+                proj.image_monoid, project(proj, point)
             ):
                 failures.append((trial, "membership incompatibility", point))
     report(2, "monoid suite on 200 random generator sets", failures)

@@ -16,6 +16,7 @@ from conftest import (
     fraction_rank_det,
     kernel_cone_inequalities,
     minor_cone_inequalities,
+    project,
     random_generator_set,
     random_monoid,
     random_pointed_monoid,
@@ -94,8 +95,6 @@ class TestContains:
         m = mono([(1, 0), (0, 1)], 2)
         with pytest.raises(ValueError):
             lattice.contains(m, query)
-        with pytest.raises(ValueError):
-            lattice.reduce_to_zero(m).apply(query)
 
 
 class TestUnitsAndZero:
@@ -198,8 +197,19 @@ class TestKempfVector:
             seen["norm >= 2"] += max(map(abs, w)) >= 2
         assert min(seen.values()) >= 50, seen
 
+    def test_rank_two_thousand(self):
+        # the recursive search went one call deeper per coordinate it fixed
+        # and ran out of interpreter stack near rank 1000
+        rank = 2000
+        e1 = (1,) + (0,) * (rank - 1)
+        m = lattice.AffineMonoid(rank=rank, generators=(e1,), facet_normals=(e1,),
+                                 lineality_basis=())
+        start = time.perf_counter()
+        assert lattice.kempf_vector(m).w == (1,) + (-1,) * (rank - 1)
+        assert time.perf_counter() - start < 2.0
+
     def test_bound_is_the_sum_of_the_facet_normals(self):
-        # the thin rank-6 cone of the docs: bisection below N0 does not finish
+        # the thin rank-6 cone of the docs: N0 lies far above the Kempf norm
         m = mono(THIN_RANK6, 6)
         w0 = [sum(column) for column in zip(*m.facet_normals)]
         assert max(map(abs, w0)) == 668_692_701
@@ -231,7 +241,7 @@ class TestReduceToZero:
         m = mono([(1, 1), (-1, -1), (1, 0)], 2)
         proj = lattice.reduce_to_zero(m)
         assert proj.target_rank == 1
-        assert proj.apply((1, 1)) == (0,)
+        assert project(proj, (1, 1)) == (0,)
         assert lattice.has_zero(proj.image_monoid)
 
     def test_canonical_projection_at_rank_three(self):
@@ -242,7 +252,7 @@ class TestReduceToZero:
         assert m.lineality_basis == ((0, 3, -2),)
         assert proj.matrix == ((1, 0, 0), (0, -2, -3))
         assert proj.image_monoid.generators == ((1, 0),)
-        assert proj.apply((0, 3, -2)) == (0, 0)
+        assert project(proj, (0, 3, -2)) == (0, 0)
 
 
 class TestRandomInvariants:
@@ -289,7 +299,7 @@ class TestRandomInvariants:
             for _ in range(25):
                 point = tuple(rng.randint(-5, 5) for _ in range(m.rank))
                 assert lattice.contains(m, point) == lattice.contains(
-                    proj.image_monoid, proj.apply(point)
+                    proj.image_monoid, project(proj, point)
                 )
 
     def test_pointed_cones_skip_the_kernel(self):
@@ -356,6 +366,13 @@ CANONICAL = [
     ),
     ([(0, 0)], [(-1, 0), (0, -1), (0, 1), (1, 0)]),
     ([(0,)], [(-1,), (1,)]),
+    (
+        # a generator that is not primitive: its facet normal is (1, -1, 0, 2, -2)
+        [(2, -2, 0, 4, -4)],
+        [(-1, -1, 0, 0, 0), (0, -2, 0, 0, 1), (0, 0, -1, 0, 0), (0, 0, 0, -1, -1),
+         (0, 0, 0, 1, 1), (0, 0, 1, 0, 0), (0, 2, 0, 0, -1), (1, 1, 0, 0, 0),
+         (1, -1, 0, 2, -2)],
+    ),
 ]
 
 
@@ -480,6 +497,19 @@ class TestConeInequalities:
                     points.add(tuple(p))
         for point in sorted(points):
             assert lattice.contains(m, point) == cone_member_oracle(gens, rank, point)
+
+    def test_large_rank_cone_in_a_proper_subspace(self):
+        # a rank-2 cone padded with zeros into rank 400; cutting a lineality
+        # basis of Q^400 by each of the 398 span equations took about 4 s
+        small, rank = [(1, 0), (1, 2), (-1, 3)], 400
+        pad = (0,) * (rank - 2)
+        start = time.perf_counter()
+        m = lattice.cone_from_generators([g + pad for g in small], rank)
+        assert time.perf_counter() - start < 2.0
+        units = [tuple(int(k == j) for k in range(rank)) for j in range(2, rank)]
+        pairs = sorted(tuple(s * x for x in e) for e in units for s in (1, -1))
+        facets = [a + pad for a in minor_cone_inequalities(small, 2)]
+        assert m.facet_normals == tuple(pairs + facets)
 
     @pytest.mark.parametrize("gens, expected", CANONICAL)
     def test_lower_dimensional_canonical_form(self, gens, expected):
