@@ -19,7 +19,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict
 from itertools import chain
 
 from . import algebra, hilb, lattice, polyparse
@@ -27,16 +26,19 @@ from .errors import DomainError
 
 _DECIMAL = re.compile(r"-?[0-9]+")
 _END = object()  # the end of an iterator, as next() reports it
+_FIELDS = "__dataclass_fields__"  # the class attribute that marks a dataclass
 
 
 def _walk(value, write, as_json, depth=0):
-    """Write a handler's object through `write` in the form of the module
-    docstring, JSON or text, each item as the object yields it."""
+    """Write a handler's object, a dataclass as the object of its fields,
+    through `write` in the module docstring's form, each item as it comes."""
+    if hasattr(value, _FIELDS):
+        value = vars(value)
     keyed = isinstance(value, dict)
     items = iter(value.items() if keyed else value)
     first = next(items, _END)
     if not as_json and depth == 1:  # a field of the top object, after `key:`
-        if keyed or isinstance(first, dict):  # a table: one line per object
+        if keyed or isinstance(first, dict) or hasattr(first, _FIELDS):  # a table
             for row in [value] if keyed else chain([first], items):
                 write("\n  ")
                 _walk(row, write, False, 2)
@@ -225,13 +227,13 @@ def _monoid_analyze(args):
     monoid = load_monoid(args.input)
     zero = lattice.has_zero(monoid)
     kempf = lattice.kempf_vector(monoid).w if zero else None
-    return dict(asdict(monoid), units=lattice.units(monoid), has_zero=zero,
+    return dict(vars(monoid), units=lattice.units(monoid), has_zero=zero,
                 kempf_vector=kempf)
 
 
 @_command("monoid", "reduce", "project away the unit lattice", "input")
 def _monoid_reduce(args):
-    return asdict(lattice.reduce_to_zero(load_monoid(args.input)))
+    return lattice.reduce_to_zero(load_monoid(args.input))
 
 
 def _presentation(pres):
@@ -279,7 +281,7 @@ def _algebra_truncate(args):
 def _algebra_stabilize(args):
     quotient = load_quotient(args.input)
     monoid = load_monoid(args.monoid)
-    return asdict(algebra.stabilization_check(quotient, monoid, args.w, args.n))
+    return algebra.stabilization_check(quotient, monoid, args.w, args.n)
 
 
 @_command("algebra", "algebraize", "compare truncations with the full algebra",
@@ -293,17 +295,16 @@ def _algebra_algebraize(args):
 
 @_command("hilb", "fixed-points", "partitions indexing monomial ideals", "d")
 def _hilb_fixed_points(args):
-    parts = hilb.partitions(args.d)
-    return {"d": args.d, "partitions": parts, "count": len(parts)}
+    return {"d": args.d, "partitions": hilb.require_generic(args.d),
+            "count": sum(hilb.poincare_histogram(args.d, (1, -1)).values())}
 
 
 def _per_fixed_point(d, field, compute, *flows, **extra):
     """One record {partition, field: compute(ideal, *flows), **extra} per
     fixed point, in `hilb fixed-points` order, each computed as it is read.
     d and every flow are checked first, so no record raises."""
-    hilb.require_generic(d, *flows)
     return ({"partition": p, field: compute(hilb.ideal_from_partition(p), *flows), **extra}
-            for p in hilb.partitions(d))  # called here, not when read
+            for p in hilb.require_generic(d, *flows))  # called here, not when read
 
 
 def _character(ideal):

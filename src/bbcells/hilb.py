@@ -5,14 +5,15 @@ staircases and listed by ZS1.  The bigraded tangent character at a fixed
 point is computed two independent ways: the arm/leg combinatorics of the
 Young diagram, and Hom(M, S/M) degree by degree, where it solves a path
 system on the staircase generators whose dimension one walk counts.  Cell
-and cell-intersection dimensions are half-space counts on that character;
-the histogram of cell dimensions is a closed form in partition counts.
+and cell-intersection dimensions count arm/leg weights in half-spaces; the
+histogram of cell dimensions is a closed form in partition counts.
 
 Convention: the box diagram of a partition (p_1 >= p_2 >= ...) has row j
 (the exponent of y) of length p_{j+1}; the single-box partition has tangent
 character {(1,0), (0,1)}.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
@@ -35,8 +36,7 @@ class MonomialIdealPlane:
 
 def partitions(d):
     """All partitions of d in reverse lexicographic order: (d) first."""
-    require_natural(d, "d")
-    return list(_zs1(d))
+    return list(require_generic(d))
 
 
 def _zs1(d):
@@ -93,21 +93,21 @@ def _standard_exponents(partition):
     return [(a, b) for b, width in enumerate(partition) for a in range(width)]
 
 
-def tangent_character_armleg(ideal):
-    """Tangent character from the diagram: each box c contributes the weights
-    (arm(c)+1, -leg(c)) and (-arm(c), leg(c)+1), box by box along the rows."""
+def _tangent_weights(ideal):
+    """Box by box along the rows, the tangent weights (arm+1, -leg), (-arm, leg+1)."""
     partition = require_instance(ideal, MonomialIdealPlane, "ideal").partition
     tr = _transpose(partition)
-    entries = {}
+    weights = []
     for b, p in enumerate(partition):
         for a in range(p):
-            arm = p - 1 - a
-            leg = tr[a] - 1 - b
-            w = (arm + 1, -leg)
-            entries[w] = entries.get(w, 0) + 1
-            w = (-arm, leg + 1)
-            entries[w] = entries.get(w, 0) + 1
-    return entries
+            arm, leg = p - 1 - a, tr[a] - 1 - b
+            weights += (arm + 1, -leg), (-arm, leg + 1)
+    return weights
+
+
+def tangent_character_armleg(ideal):
+    """Tangent character from the diagram: the arm/leg weights, counted."""
+    return dict(Counter(_tangent_weights(ideal)))
 
 
 def _corners(partition):
@@ -177,21 +177,17 @@ def cell_dimension(ideal, w):
 
 def intersection_dimension(ideal, *flows):
     """Dimension of the intersection of the cells of the given flows at this
-    fixed point, read from one arm/leg character: the tangent weights pairing
-    positively with every flow, counted with multiplicity.  Raises
-    NonGenericWeight for the first flow that pairs to zero with some tangent
-    weight."""
-    character = tangent_character_armleg(ideal)
-    kept = dict(character)
+    fixed point: the arm/leg weights pairing positively with every flow,
+    counted with multiplicity.  Raises NonGenericWeight for the first flow
+    that pairs to zero with any of the weights, naming the first in box order."""
+    kept = weights = _tangent_weights(ideal)
     for w in flows:
         w1, w2 = require_vector(w, 2, "weight")
-        for t in character:
-            pairing = w1 * t[0] + w2 * t[1]
-            if pairing == 0:
+        for t in weights:
+            if w1 * t[0] + w2 * t[1] == 0:
                 raise NonGenericWeight(ideal.partition, w, t)
-            if pairing < 0:
-                kept.pop(t, None)
-    return sum(kept.values())
+        kept = [t for t in kept if w1 * t[0] + w2 * t[1] > 0]
+    return len(kept)
 
 
 def default_generic_weight(d):
@@ -227,11 +223,14 @@ def is_generic(d, w):
 
 
 def require_generic(d, *flows):
-    """Raise NonGenericWeight unless every flow is generic at d: the error of
-    the first witness in partitions(d) order, which exists (see is_generic)."""
+    """The partitions of d, lazily, once d and every flow are checked: raises
+    NonGenericWeight unless every flow is generic at d, with the error of the
+    first witness in partitions(d) order, which exists (see is_generic)."""
+    require_natural(d, "d")
     if not all(is_generic(d, w) for w in flows):
         for partition in _zs1(d):
             intersection_dimension(ideal_from_partition(partition), *flows)
+    return _zs1(d)
 
 
 def _counts_by_parts(d):

@@ -9,7 +9,7 @@ from itertools import combinations, count, product
 from math import lcm
 
 from bbcells import algebra, hilb, intlinalg, lattice, polyhedra
-from bbcells.errors import require_natural
+from bbcells.errors import NonGenericWeight, require_natural, require_vector
 from bbcells.intlinalg import primitive
 
 
@@ -387,6 +387,39 @@ def matrix_hom_dimension(partition, gens, delta):
     return len(live) - rank_of(rows)
 
 
+def dict_tangent_character(partition):
+    """The arm/leg character as the dict hilb.tangent_character_armleg built
+    before its weight list, kept as its oracle: box by box along the rows,
+    each box adds one to (arm+1, -leg) and to (-arm, leg+1), so the keys come
+    in the order of their first box.  Column heights are counted here."""
+    heights = [sum(1 for q in partition if q > a) for a in range(max(partition, default=0))]
+    entries = {}
+    for b, p in enumerate(partition):
+        for a in range(p):
+            arm, leg = p - 1 - a, heights[a] - 1 - b
+            for w in ((arm + 1, -leg), (-arm, leg + 1)):
+                entries[w] = entries.get(w, 0) + 1
+    return entries
+
+
+def dict_intersection_dimension(ideal, *flows):
+    """hilb.intersection_dimension by the character route it replaced, kept
+    as its oracle: a copy of the character, from which each flow removes the
+    weights it pairs negatively with, once it has raised NonGenericWeight at
+    the first key that it pairs to zero with, if any."""
+    character = dict_tangent_character(ideal.partition)
+    kept = dict(character)
+    for w in flows:
+        w1, w2 = require_vector(w, 2, "weight")
+        for t in character:
+            pairing = w1 * t[0] + w2 * t[1]
+            if pairing == 0:
+                raise NonGenericWeight(ideal.partition, w, t)
+            if pairing < 0:
+                kept.pop(t, None)
+    return sum(kept.values())
+
+
 def recursive_partitions(d):
     """Partitions of d in reverse lexicographic order by recursion on the
     largest part, kept as the oracle of hilb.partitions."""
@@ -576,6 +609,21 @@ def random_output_value(rng, depth=0):
     if items and isinstance(items[0], dict):
         items = [item if isinstance(item, dict) else {} for item in items]
     return items if kind == "list" else tuple(items)
+
+
+def random_dataclass_value(rng):
+    """A library dataclass as a handler may return it: an AffineMonoid, a
+    LatticeProjection with its nested image_monoid, or a StabilizationReport."""
+    kind = rng.choice(["monoid", "projection", "report"])
+    if kind == "monoid":
+        return random_monoid(rng)
+    if kind == "projection":
+        return lattice.reduce_to_zero(random_monoid(rng))
+    dimensions = tuple(rng.randint(0, 9) for _ in range(rng.randint(0, 4)))
+    return algebra.StabilizationReport(
+        weight=tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 3))),
+        n_lambda=rng.randint(0, 5), dimensions=dimensions, stable=rng.random() < 0.5,
+        limit_dimension=rng.choice([0, 7, 10**50]))
 
 
 def with_iterators(value, rng):

@@ -9,7 +9,9 @@ from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 
 import pytest
-from conftest import random_output_value, reference_output, seeded, with_iterators
+from conftest import (
+    random_dataclass_value, random_output_value, reference_output, seeded, with_iterators,
+)
 
 from bbcells import algebra, cli, lattice
 from bbcells.cli import main
@@ -366,6 +368,8 @@ class TestErrorPaths:
          "error[bad-input]: d must be a nonnegative integer"),
         (["hilb", "intersect", "-d", "-1", "-w", "1,3", "-w", "3,1"], {},
          "error[bad-input]: d must be a nonnegative integer"),
+        (["hilb", "tangent", "-d", "-1"], {},
+         "error[bad-input]: d must be a nonnegative integer"),
         (["algebra", "truncate", "-i", "{quot}", "-m", data("monoid_n.json"), "-n", "1"],
          {"quot": {"torus_rank": 1, "monomial_generators": ["x + y"],
                    "variables": [{"name": "x", "weight": [1]},
@@ -374,7 +378,7 @@ class TestErrorPaths:
     ], ids=["generator", "variable_weight", "stabilize_weight", "level",
             "stabilize_level", "bound",
             "fixed_points_d", "cells_d", "cells_d_with_weight", "poincare_d",
-            "intersect_d", "not_a_monomial"])
+            "intersect_d", "tangent_d", "not_a_monomial"])
     def test_exact_input_errors_are_pinned(self, argv, docs, err, tmp_path, capsys):
         paths = {}
         for name, doc in docs.items():
@@ -570,34 +574,42 @@ def test_long_numbers_are_syntax_errors(relation, offset, tmp_path, capsys):
 
 def test_walker_matches_the_reference():
     # random objects, lists, tuples and iterators against the encoded copy
-    # printed whole, in both forms
+    # printed whole, in both forms; then library dataclasses, which the
+    # reference copies with asdict, alone, as a field, as the rows of a table
+    # and deeper
     rng = seeded(125)
     tables = 0
+    values = [random_output_value(rng) for _ in range(600)]
+    for _ in range(100):
+        one, two = random_dataclass_value(rng), random_dataclass_value(rng)
+        values += [one, {"k": one}, {"rows": [one, two]}, {"d": [1, {"k": (one,)}]}]
     with exact_int_strings():
-        for _ in range(600):
-            value = random_output_value(rng)
+        for value in values:
             for as_json in (True, False):
                 out = io.StringIO()
                 cli._walk(with_iterators(value, rng), out.write, as_json)
                 expected = reference_output(value, as_json)
                 assert out.getvalue() + "\n" == expected
             tables += "\n  " in expected
-    assert tables >= 100
+    assert tables >= 300
 
 
-# all 1,002 records are written as they are computed, none held: building
-# the records, an encoded copy and the whole text first peaked at 12.0 MB
-# (text) and 21.8 MB (JSON)
+# every record is written as it is computed, none held: building the 1,002
+# records of tangent -d 22, an encoded copy and the whole text first peaked
+# at 12.0 MB (text) and 21.8 MB (JSON); a list of the 37,338 partitions of
+# 40 behind the cells and fixed points peaked at 2.0-5.3 MB
 @pytest.mark.parametrize("mode", [[], ["--json"]])
 def test_records_are_not_held(mode):
-    tracemalloc.start()
-    try:
-        with open(os.devnull, "w") as sink, redirect_stdout(sink):
-            assert main(["hilb", "tangent", "-d", "22", *mode]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2**20
+    for argv in (["hilb", "tangent", "-d", "22"], ["hilb", "cells", "-d", "40"],
+                 ["hilb", "fixed-points", "-d", "40"]):
+        tracemalloc.start()
+        try:
+            with open(os.devnull, "w") as sink, redirect_stdout(sink):
+                assert main([*argv, *mode]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, argv
 
 
 def test_pipe_closed_after_one_line_is_one_error_line():

@@ -1,6 +1,7 @@
 import random
 import time
 import tracemalloc
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from bbcells import hilb
 from bbcells.errors import NonGenericWeight, RankMismatch
 from conftest import (
-    enumerated_poincare_histogram, ideal_is_generic, looped_is_generic,
-    matrix_hom_dimension, recursive_partitions,
+    dict_intersection_dimension, dict_tangent_character, enumerated_poincare_histogram,
+    ideal_is_generic, looped_is_generic, matrix_hom_dimension, recursive_partitions,
 )
 
 
@@ -284,6 +285,47 @@ class TestIntersectionDimension:
                      lambda: hilb.poincare_histogram(2, w)):
             with pytest.raises(error):
                 call()
+
+    def test_matches_the_character_route(self):
+        # the weight list against the character dict it replaced, at every
+        # partition with d <= 12: seeded flows from all four sign chambers,
+        # with zero entries and small same-sign weights that are not generic,
+        # and malformed flows, some after a flow that is not generic
+        def outcome(intersect, ideal, flows):
+            try:
+                return intersect(ideal, *flows)
+            except (NonGenericWeight, RankMismatch, ValueError) as exc:
+                return type(exc), str(exc)
+
+        def well_formed(w):
+            return type(w) is tuple and len(w) == 2 and all(type(x) is int for x in w)
+
+        rng = random.Random(127)
+        malformed = [(1, 2, 3), (0.5, 1), (1, True), 5]
+        fixed = [[(1, 1), (1, 2, 3)], [(0, 1), 5], [(1, 3), (1, 2, 3)], []]
+        seen = Counter()
+        for d in range(13):
+            for p in hilb.partitions(d):
+                ideal = hilb.ideal_from_partition(p)
+                character = hilb.tangent_character_armleg(ideal)
+                assert list(character.items()) == list(dict_tangent_character(p).items())
+                for flows in fixed + [
+                    [rng.choice(malformed) if rng.random() < 0.1 else
+                     (rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(rng.randint(0, 3))]
+                    for _ in range(12)
+                ]:
+                    expected = outcome(dict_intersection_dimension, ideal, flows)
+                    assert outcome(hilb.intersection_dimension, ideal, flows) == expected, (
+                        p, flows)
+                    seen.update((w[0] > 0, w[1] > 0) for w in flows
+                                if well_formed(w) and 0 not in w)
+                    kind = expected[0] if type(expected) is tuple else int
+                    seen[kind] += 1
+                    seen["malformed after non-generic"] += (
+                        kind is NonGenericWeight and not all(map(well_formed, flows)))
+        assert all(seen[s1, s2] > 200 for s1 in (True, False) for s2 in (True, False))
+        assert min(seen[NonGenericWeight], seen[RankMismatch], seen[ValueError], seen[int],
+                   seen["malformed after non-generic"]) > 50
 
     def test_bounded_by_cells(self):
         for p in hilb.partitions(6):
