@@ -328,34 +328,29 @@ def truncate(quotient, monoid, n):
     return dict(Counter(w for w, _ in _standard_monomials(quotient, monoid, n)))
 
 
-def _weight_orders(quotient, monoid, weight):
-    """The checked weight, its Kempf degree n_lambda (0 when negative) and the
-    J-orders of its standard monomials, all of Kempf degree n_lambda."""
-    kempf = lattice.kempf_vector(monoid).w
-    weight = require_vector(weight, monoid.rank, "weight")
-    n_lambda = max(_pairing(kempf, weight), 0)
-    monomials = _standard_monomials(quotient, monoid, n_lambda, kempf)
-    return weight, n_lambda, [order for w, order in monomials if w == weight]
-
-
 def graded_dimension(quotient, monoid, weight):
     """dim A_weight of the full quotient, by direct standard-monomial count.
 
     Finite because every nonzero-weight variable has positive pairing with
     the Kempf vector, bounding exponents by the Kempf degree of the weight.
     """
-    return len(_weight_orders(quotient, monoid, weight)[2])
+    return stabilization_check(quotient, monoid, weight, 0).limit_dimension
 
 
 def stabilization_check(quotient, monoid, weight, n_max):
     """Dimension sequence of truncations in one weight, with its stability bound.
 
     For a torus the isotypic component of a weight is the single character, so
-    the bound is its Kempf degree n_lambda = <kempf vector, weight>.  The
-    dimension at level n counts the monomials of the weight of J-order <= n.
+    the bound is its Kempf degree n_lambda = <kempf vector, weight>, taken as 0
+    when negative.  The dimension at level n counts the standard monomials of
+    the weight, all of Kempf degree n_lambda, of J-order <= n.
     `stable` is vacuously true when n_max < n_lambda.
     """
-    weight, n_lambda, orders = _weight_orders(quotient, monoid, weight)
+    kempf = lattice.kempf_vector(monoid).w
+    weight = require_vector(weight, monoid.rank, "weight")
+    n_lambda = max(_pairing(kempf, weight), 0)
+    monomials = _standard_monomials(quotient, monoid, n_lambda, kempf)
+    orders = [order for w, order in monomials if w == weight]
     if type(n_max) is not int:
         raise ValueError("n_max must be an integer")
     require_natural(n_max, "n_max")

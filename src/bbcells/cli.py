@@ -329,7 +329,8 @@ def _one_weight(args):
 def _hilb_cells(args):
     w = _one_weight(args)
     # a weight that is not generic raises first: "generic" is always true
-    cells = _per_fixed_point(args.d, "dimension", hilb.cell_dimension, w, generic=True)
+    cells = _per_fixed_point(args.d, "dimension", hilb.intersection_dimension, w,
+                             generic=True)
     return {"d": args.d, "weight": w, "cells": cells}
 
 

@@ -1,5 +1,6 @@
-"""Exact integer linear algebra: the Hermite normal form, the Smith form built
-on it and lattice kernels.
+"""Exact integer linear algebra: the Hermite normal form and lattice kernels.
+The Smith form built on it is kept for the benchmark's tracer and the tests;
+no library path calls it.
 
 All matrices are lists of lists of Python ints (arbitrary precision).
 Row convention: a matrix with r rows and c columns maps Z^c -> Z^r.

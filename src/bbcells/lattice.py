@@ -96,22 +96,21 @@ def kempf_vector(monoid):
     cancel: the sum w0 of all facet normals is valid, and N0 = max|w0_i|
     bounds the answer's norm.  A lexicographic depth-first search of
     [-n, n]^rank, tightening the bounds by every pairing at each node, finds
-    the first valid leaf or None.  Validity is monotone in n: after n = 1,
-    n doubles, capped at N0, then bisects to the least n with a leaf, which
-    is the answer since no smaller box holds a valid vector.
+    the first valid leaf or None.  Validity is monotone in n.  From n = 0,
+    whose box {0} is valid only when every generator is zero and N0 = 0,
+    n doubles from 1, capped at N0, then bisects to the least n with a leaf,
+    which is the answer since no smaller box holds a valid vector.
     """
     require_zero(monoid)
     # the distinct nonzero generators, first seen first, as (j, a) pairs
     rows = [tuple((j, a) for j, a in enumerate(g) if a)
             for g in dict.fromkeys(monoid.generators) if any(g)]
     rank = monoid.rank
-    w = _lex_first(rows, [-1] * rank, [1] * rank) if rows else (0,) * rank
-    if w is not None:
-        return KempfVector(w=w)
-    # the box of lo holds no valid vector, and the box of hi does: w, once found
-    lo, hi = 1, max(abs(sum(column)) for column in zip(*monoid.facet_normals))
+    # the box of hi holds a valid vector (w, once found); lo's, none unless hi = 0
+    lo, w = 0, None
+    hi = max((abs(sum(column)) for column in zip(*monoid.facet_normals)), default=0)
     while w is None or hi - lo > 1:
-        n = min(2 * lo, hi) if w is None else (lo + hi) // 2
+        n = min(2 * lo or 1, hi) if w is None else (lo + hi) // 2
         found = _lex_first(rows, [-n] * rank, [n] * rank)
         if found is None:
             lo = n
@@ -164,15 +163,15 @@ def _tighten(rows, lo, hi):
 
 def reduce_to_zero(monoid):
     """Projection Z^rank -> Z^(rank - dim L) with kernel exactly L: the last
-    rank - dim L rows of u in the Smith form u @ m @ v = [I; 0] of the
-    lineality basis m, written as columns.  Without units u is the identity
-    and the image is the monoid itself; the image always has a zero."""
+    rank - dim L rows of u in the row Hermite form u @ m = h of the lineality
+    basis m, written as columns.  Without units u is the identity and the
+    image is the monoid itself; the image always has a zero."""
     l = len(monoid.lineality_basis)
-    u, s, _ = intlinalg.smith(
+    h, u = intlinalg.row_hermite(
         [[v[i] for v in monoid.lineality_basis] for i in range(monoid.rank)]
     )
-    # kernels of integer matrices are saturated, so the diagonal is all ones
-    assert all(s[i][i] == 1 for i in range(l))
+    # L is saturated, so the rows of m span Z^l and the pivot block is I
+    assert h[:l] == intlinalg.identity(l)
     proj_rows = u[l:]
     images = [tuple(intlinalg.mat_vec(proj_rows, g)) for g in monoid.generators]
     image = _build([v for v in images if any(v)], monoid.rank - l) if l else monoid

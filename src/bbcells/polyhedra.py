@@ -2,7 +2,8 @@
 
 `cone_inequalities` finds the facet normals as the extreme rays of the dual
 cone, by double description.  The Fourier-Motzkin primitives are kept as the
-exact feasibility reference:
+exact feasibility reference for the benchmark's tracer and the tests; no
+library path calls them:
 a constraint is (coeffs, strict), coeffs . x >= 0, or > 0 when strict, with
 coefficients cleared back to primitive integer vectors after each step.
 """

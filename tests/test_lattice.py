@@ -138,6 +138,23 @@ class TestKempfVector:
                     for g in m.generators
                 )
 
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_zero_generators(self, rank):
+        # no nonzero generator: N0 = 0, and the search ends at the box {0}
+        m = mono([(0,) * rank, (0,) * rank], rank)
+        assert lattice.kempf_vector(m).w == (0,) * rank
+
+    def test_rank_zero_image(self):
+        # the image of a unit line has rank 0 and no facet normals
+        image = lattice.reduce_to_zero(mono([(1,), (-1,)], 1)).image_monoid
+        assert (image.rank, image.facet_normals) == (0, ())
+        assert lattice.kempf_vector(image).w == ()
+
+    def test_first_coordinate_vector(self):
+        # valid at n = 1, the first box searched
+        m = mono([(1, 0, 0, 0, 0)], 5)
+        assert lattice.kempf_vector(m).w == (1, -1, -1, -1, -1)
+
     def test_requires_zero(self):
         m = mono([(1, 0), (-1, 0), (0, 1)], 2)
         with pytest.raises(MonoidHasUnits):
@@ -253,6 +270,25 @@ class TestReduceToZero:
         assert proj.matrix == ((1, 0, 0), (0, -2, -3))
         assert proj.image_monoid.generators == ((1, 0),)
         assert project(proj, (0, 3, -2)) == (0, 0)
+
+    def test_matches_the_smith_transform(self):
+        # smith is the oracle: the Hermite pivot block of a unit basis is the
+        # identity, so the Smith loop never goes past the one Hermite pass
+        rng = seeded(29)
+        compared, ranks = 0, set()
+        while compared < 3000:
+            gens, rank = random_generator_set(rng, max_rank=6)
+            m = mono(gens, rank)
+            l = len(m.lineality_basis)
+            if not l:
+                continue
+            columns = [[v[i] for v in m.lineality_basis] for i in range(rank)]
+            assert intlinalg.row_hermite(columns)[0][:l] == intlinalg.identity(l)
+            u = intlinalg.smith(columns)[0]
+            assert lattice.reduce_to_zero(m).matrix == tuple(map(tuple, u[l:])), gens
+            compared += 1
+            ranks.add(rank)
+        assert ranks == {1, 2, 3, 4, 5, 6}
 
 
 class TestRandomInvariants:
